@@ -1,4 +1,4 @@
-"""Serving-path benchmark: interpreted vs compiled vs pooled serving.
+"""Serving-path benchmark: separate vs shared-render vs pooled serving.
 
 Models the production serving loop: one wrapper per engine, induced once
 from that engine's sample pages, then applied to a stream of result
@@ -7,11 +7,11 @@ pages *with health monitoring* (what :class:`repro.monitor
 corpus:
 
 - **interpreted serve** — ``EngineWrapper.extract`` followed by
-  ``check_wrapper`` per page: the pre-compile monitoring cost (two
-  parses, two renders, two application sweeps);
-- **compiled serve** — ``CompiledWrapper.serve``: one shared
-  render+index, one application sweep, extraction and health assembled
-  from the same per-schema results (:mod:`repro.perf.serve`);
+  ``check_wrapper`` per page: extraction and health computed separately
+  (two parses, two renders, two application sweeps);
+- **compiled serve** — ``CompiledWrapper.serve``: one shared render,
+  one application sweep, extraction and health assembled from the same
+  per-schema results (:mod:`repro.perf.serve`);
 - **cold pool** — the ``extract_many`` compatibility shim at
   ``jobs=N``: a *temporary* :class:`repro.perf.server.Server` per call,
   so every call pays worker spawn + per-worker wrapper compilation with
@@ -21,12 +21,6 @@ corpus:
   priming pass (one sample page per engine), chunked batches amortize
   IPC.  Timed for both ``Server.serve`` (the headline: extraction +
   health) and ``Server.extract``.
-
-An honest extract-only comparison (``EngineWrapper.extract`` vs
-``CompiledWrapper.extract``) is also recorded: rendering dominates
-single extraction, so the compiled win there is real but modest — the
-headline is the serving workload, where the shared render halves the
-per-page cost outright before the automaton/index savings kick in.
 
 Every timed page is also a parity check: the compiled extraction must
 serialize byte-identically to the interpreted one, the compiled health
@@ -235,8 +229,6 @@ def test_serve_bench_emitted():
 
     interpreted_serve = []
     compiled_serve = []
-    interpreted_extract = []
-    compiled_extract = []
     ref_extractions = []
     ref_healths = []
     for position, markup, query in tasks:
@@ -256,18 +248,12 @@ def test_serve_bench_emitted():
         elapsed, served = _best_of(lambda: fast.serve(markup, query))
         compiled_serve.append(elapsed)
 
-        elapsed, ref_only = _best_of(lambda: engine.extract(markup, query))
-        interpreted_extract.append(elapsed)
-
-        elapsed, fast_only = _best_of(lambda: fast.extract(markup, query))
-        compiled_extract.append(elapsed)
-
         # Parity: the measured results, not a separate run.
         assert _extraction_bytes(served.extraction) == ref_extractions[-1], (
             "compiled serve extraction diverged from EngineWrapper.extract"
         )
-        assert _extraction_bytes(fast_only) == _extraction_bytes(
-            ref_only
+        assert _extraction_bytes(fast.extract(markup, query)) == (
+            ref_extractions[-1]
         ), "compiled extract diverged from EngineWrapper.extract"
         assert _health_bytes(served.health) == ref_healths[-1], (
             "compiled health diverged from check_wrapper"
@@ -337,8 +323,6 @@ def test_serve_bench_emitted():
     modes = {
         "interpreted_serve": _mode_stats(interpreted_serve),
         "compiled_serve": _mode_stats(compiled_serve),
-        "interpreted_extract": _mode_stats(interpreted_extract),
-        "compiled_extract": _mode_stats(compiled_extract),
         "cold_pool_extract": _pool_stats(cold_seconds, len(pages)),
         "warm_pool_extract": _pool_stats(warm_extract_seconds, len(pages)),
         "warm_pool_serve": _pool_stats(warm_serve_seconds, len(pages)),
@@ -348,11 +332,6 @@ def test_serve_bench_emitted():
         "serve": (
             modes["interpreted_serve"]["seconds"]
             / modes["compiled_serve"]["seconds"]
-        ),
-        # Extract-only (render-bound; kept honest, not gated).
-        "extract": (
-            modes["interpreted_extract"]["seconds"]
-            / modes["compiled_extract"]["seconds"]
         ),
         # The pool headline: warm resident workers vs everything else.
         "pool_serve_vs_compiled_serve": (
@@ -370,7 +349,7 @@ def test_serve_bench_emitted():
     }
     doc = {
         "format": "repro-serve-bench",
-        "version": 2,
+        "version": 3,
         "workload": {
             "engines": len(engines),
             "pages": len(pages),
@@ -414,8 +393,7 @@ def test_serve_bench_emitted():
             line += (f"  p50 {row['p50_ms']:>6.2f}ms  "
                      f"p99 {row['p99_ms']:>6.2f}ms")
         print(line)
-    print(f"  serve speedup {speedups['serve']:.2f}x  "
-          f"extract-only {speedups['extract']:.2f}x")
+    print(f"  serve speedup {speedups['serve']:.2f}x")
     print(f"  warm pool({JOBS} jobs, {EFFECTIVE_WORKERS} effective) "
           f"vs compiled serve {speedups['pool_serve_vs_compiled_serve']:.2f}x  "
           f"vs interpreted {speedups['pool_serve_vs_interpreted_serve']:.2f}x  "

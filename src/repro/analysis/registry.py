@@ -58,12 +58,9 @@ PROCESS_LOCAL_MEMOS: Dict[str, str] = {
         "Dinr is a pure function of the key"
     ),
     "repro.perf.fingerprints.ATTR_INTERNER": (
-        "intern table for text-attr bitmasks; interning is idempotent "
-        "and generation-guarded, each process builds its own universe"
-    ),
-    "repro.perf.fingerprints.TEXT_INTERNER": (
-        "intern table for marker texts; idempotent, generation-guarded, "
-        "never shipped across processes"
+        "intern table for text-attr bitmasks; interning is idempotent, "
+        "each process builds its own universe and masks never cross "
+        "processes"
     ),
     "repro.perf.fingerprints.TUPLE_INTERNER": (
         "intern table for signature tuples; idempotent fill, interned "
@@ -115,14 +112,6 @@ IDENTITY_KEY_FUNCTIONS: Dict[str, str] = {
     "repro.core.verify._section_dinr_key": (
         "page-local leaf-line identity lookups build a key whose "
         "encoded values are line offsets, not ids; never serialized"
-    ),
-    "repro.perf.serve._dom_span": (
-        "page-local DOM-node -> line lookup consumed by the page index "
-        "that builds it; ids never outlive the page"
-    ),
-    "repro.perf.serve.PageIndex.span_of": (
-        "page-local element -> line-span cache; the index and its keys "
-        "share the page's lifetime inside one process"
     ),
     "repro.pipeline.stages.GroupingStage.encode": (
         "identity lookup encodes each section as its deterministic "

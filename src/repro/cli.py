@@ -17,10 +17,10 @@
 file path, optionally suffixed ``:query terms``); ``extract`` applies a
 saved wrapper to one or more pages and prints sections/records — with
 ``--json`` it emits one array with a per-page timing entry; ``serve``
-runs the compiled batch path (:mod:`repro.perf.serve`): wrappers are
-compiled once, each page is parsed/rendered/indexed once and every
-wrapper is applied to the shared index, reporting pages/sec and p50/p99
-per-page latency (``--jobs N`` fans pages out over worker processes);
+runs the batch serving path (:mod:`repro.perf.serve`): each page is
+parsed and rendered once and every wrapper is applied to the shared
+render, reporting pages/sec and p50/p99 per-page latency (``--jobs N``
+fans pages out over worker processes);
 ``check`` reports wrapper health on one page (``--json FILE`` writes the
 machine-readable breakdown); ``monitor`` feeds a stream of pages through
 the sliding-window drift monitor — with ``--heal`` it re-induces and
@@ -57,6 +57,7 @@ from repro.core.annotate import annotate_record
 from repro.core.mse import build_wrapper
 from repro.core.serialize import load_wrapper, save_wrapper
 from repro.core.verify import check_wrapper
+from repro.htmlmod import NestingDepthError
 from repro.obs import NULL_OBSERVER, Observer, render_report
 
 #: page-argument suffixes that may carry an inline query
@@ -158,7 +159,7 @@ def cmd_extract(args) -> int:
         path, query = _split_page_arg(arg)
         pages.append((path, _read(path), query or args.query))
 
-    # --jobs > 1 routes the batch through the compiled serving pool
+    # --jobs > 1 routes the batch through the serving pool
     # (bit-identical extractions, no per-page timing).
     batch: Optional[List] = None
     if args.jobs > 1 and len(pages) > 1:
@@ -690,7 +691,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _PageReadError as exc:
+    except (_PageReadError, NestingDepthError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -25,17 +25,13 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.model import SectionInstance
-
-from repro.core.dse import clean_page_lines
-from repro.core.wrapper import EngineWrapper, apply_section_wrapper
+from repro.core.wrapper import EngineWrapper, render_result_page
 from repro.features.cohesion import inter_record_distance
 from repro.features.record_distance import RecordDistanceCache
 from repro.htmlmod.dom import Document, Element
-from repro.htmlmod.parser import parse_html
 from repro.obs import NULL_OBSERVER, ObserverLike
 from repro.perf.fingerprints import ATTR_INTERNER
 from repro.perf.kernels import DINR_MEMO
-from repro.render.layout import render_page
 
 #: mean Drec above which a section's records no longer cohere
 HOMOGENEITY_LIMIT = 0.45
@@ -192,17 +188,11 @@ def check_wrapper(
     record counts) lower it hard.
     """
     with obs.span("check"):
-        if isinstance(markup_or_document, Document):
-            document = markup_or_document
-        else:
-            document = parse_html(markup_or_document)
-        page = render_page(document)
-        clean_page_lines(page, query.split())
-
-        instances = [
-            apply_section_wrapper(wrapper, page) for wrapper in engine.wrappers
-        ]
-        return health_from_applications(engine, instances, obs=obs)
+        page = render_result_page(markup_or_document, query, obs=obs)
+        applications = engine.apply(page, obs=obs)
+        return health_from_applications(
+            engine, applications.wrapper_instances, obs=obs
+        )
 
 
 def _section_dinr_key(
@@ -267,11 +257,11 @@ def health_from_applications(
     """Score per-wrapper application results into a :class:`WrapperHealth`.
 
     ``instances`` is aligned with ``engine.wrappers`` — one (possibly
-    None) :class:`SectionInstance` per section wrapper, as produced by
-    :func:`repro.core.wrapper.apply_section_wrapper` or by the compiled
-    serving path.  :func:`check_wrapper` is exactly render + apply-all +
-    this function; the compiled path reuses the same applications for
-    extraction *and* health, so both stay bit-identical by construction.
+    None) :class:`SectionInstance` per section wrapper, the
+    ``wrapper_instances`` of :meth:`EngineWrapper.apply`.
+    :func:`check_wrapper` is exactly render + apply + this function; the
+    serving path reuses the same applications for extraction *and*
+    health, so both stay bit-identical by construction.
     """
     cache = RecordDistanceCache(engine.config)
     outcomes: List[SectionHealth] = []
@@ -283,7 +273,7 @@ def health_from_applications(
             continue
         memo_key = (
             _section_dinr_key(engine.config, instance)
-            if engine.config.fast_kernels and len(instance.records) >= 2
+            if len(instance.records) >= 2
             else None
         )
         memoized = DINR_MEMO.get(memo_key) if memo_key is not None else None

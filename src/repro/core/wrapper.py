@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from bisect import bisect_left, bisect_right
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     FrozenSet,
     List,
@@ -212,21 +211,35 @@ def _derive_separator(instances: Sequence[SectionInstance]) -> SeparatorRule:
 # ---------------------------------------------------------------------------
 
 
-#: ``span_of`` hook: a precomputed element -> line-span lookup (see
-#: :class:`repro.perf.serve.PageIndex`); None falls back to the page's
-#: per-call subtree walk.
-SpanLookup = Callable[[Element], Optional[Tuple[int, int]]]
+def render_result_page(
+    markup_or_document: Union[str, Document],
+    query: str = "",
+    obs: ObserverLike = NULL_OBSERVER,
+) -> RenderedPage:
+    """Parse, render and clean one result page for wrapper application.
+
+    ``markup_or_document`` may be an HTML string or a parsed
+    :class:`Document`; ``query`` is the query string that produced the
+    page (its terms are cleaned out of semi-dynamic boundary markers).
+    Raises :class:`repro.htmlmod.NestingDepthError` on markup nested
+    past the parser's budget.
+    """
+    with obs.span("render"):
+        if isinstance(markup_or_document, Document):
+            document = markup_or_document
+        else:
+            document = parse_html(markup_or_document)
+        page = render_page(document)
+        clean_page_lines(page, query.split())
+        obs.count("render.lines", len(page.lines))
+    return page
 
 
 def partition_subtree_records(
-    page: RenderedPage,
-    subtree: Element,
-    separator: SeparatorRule,
-    span_of: Optional[SpanLookup] = None,
+    page: RenderedPage, subtree: Element, separator: SeparatorRule
 ) -> List[Block]:
     """Partition a located section subtree into record blocks."""
-    lookup = span_of if span_of is not None else page.line_range_of_element
-    span = lookup(subtree)
+    span = page.line_range_of_element(subtree)
     if span is None:
         return []
     start, end = span
@@ -237,7 +250,7 @@ def partition_subtree_records(
     for child in subtree.children:
         if not isinstance(child, Element):
             continue
-        child_span = lookup(child)
+        child_span = page.line_range_of_element(child)
         if child_span is None:
             continue
         if separator.kind == "per-child" or child.tag == separator.tag:
@@ -375,6 +388,22 @@ def _bound_by_markers(
     return records, lbm, rbm, hits
 
 
+@dataclass
+class PageApplications:
+    """One page's per-schema application results.
+
+    ``family_sections`` holds every section the families located;
+    ``wrapper_instances`` is aligned with ``EngineWrapper.wrappers`` —
+    every section wrapper applied on its own, the shape
+    :func:`repro.core.verify.health_from_applications` scores.  A page's
+    extraction and its health are both built from this one object, so
+    serving with monitoring renders and applies once.
+    """
+
+    family_sections: List[Tuple[str, SectionInstance]]
+    wrapper_instances: List[Optional[SectionInstance]]
+
+
 class EngineWrapper:
     """The full wrapper of one search engine: ordered section wrappers
     plus section families (§5.8), applied to new result pages."""
@@ -396,6 +425,50 @@ class EngineWrapper:
         )
 
     # -- application ------------------------------------------------------
+    def apply(
+        self, page: RenderedPage, obs: ObserverLike = NULL_OBSERVER
+    ) -> PageApplications:
+        """Apply every family, then every section wrapper, to one page."""
+        with obs.span("families"):
+            family_sections = [
+                found for family in self.families for found in family.apply(page)
+            ]
+            obs.count("extract.family_sections", len(family_sections))
+        with obs.span("wrappers"):
+            wrapper_instances = [
+                apply_section_wrapper(wrapper, page) for wrapper in self.wrappers
+            ]
+        return PageApplications(family_sections, wrapper_instances)
+
+    def assemble(
+        self, applications: PageApplications, obs: ObserverLike = NULL_OBSERVER
+    ) -> PageExtraction:
+        """One page's extraction from its applications.
+
+        Family sections come first; a schema a family already located is
+        not taken again from its own wrapper.  Overlapping claims are
+        then resolved by :func:`_dedup_instances`.
+        """
+        instances = list(applications.family_sections)
+        found_by_family = {schema_id for schema_id, _ in instances}
+        for wrapper, found in zip(self.wrappers, applications.wrapper_instances):
+            if found is not None and wrapper.schema_id not in found_by_family:
+                instances.append((wrapper.schema_id, found))
+        deduped = _dedup_instances(instances)
+        obs.count("extract.dedup_dropped", len(instances) - len(deduped))
+        deduped.sort(key=lambda item: item[1].start)
+        obs.count("extract.sections", len(deduped))
+        obs.count(
+            "extract.records",
+            sum(len(instance.records) for _, instance in deduped),
+        )
+        return PageExtraction(
+            sections=tuple(
+                section_to_extracted(instance, schema_id)
+                for schema_id, instance in deduped
+            )
+        )
+
     def extract(
         self,
         markup_or_document: Union[str, Document],
@@ -404,53 +477,13 @@ class EngineWrapper:
     ) -> PageExtraction:
         """Extract all dynamic sections and their records from a page.
 
-        ``markup_or_document`` may be an HTML string or a parsed
-        :class:`Document`; ``query`` is the query string that produced the
-        page (used to clean semi-dynamic boundary markers).  ``obs`` is an
-        optional :class:`repro.obs.Observer`: extraction runs under the
-        spans ``render``, ``families`` and ``wrappers``.
+        ``markup_or_document`` and ``query`` are as for
+        :func:`render_result_page`.  ``obs`` is an optional
+        :class:`repro.obs.Observer`: extraction runs under the spans
+        ``render``, ``families`` and ``wrappers``.
         """
-        with obs.span("render"):
-            if isinstance(markup_or_document, Document):
-                document = markup_or_document
-            else:
-                document = parse_html(markup_or_document)
-            page = render_page(document)
-            clean_page_lines(page, query.split())
-            obs.count("render.lines", len(page.lines))
-
-        instances: List[Tuple[str, SectionInstance]] = []
-
-        with obs.span("families"):
-            found_by_family: Set[str] = set()
-            for family in self.families:
-                for schema_id, instance in family.apply(page):
-                    instances.append((schema_id, instance))
-                    found_by_family.add(schema_id)
-            obs.count("extract.family_sections", len(instances))
-
-        with obs.span("wrappers"):
-            for wrapper in self.wrappers:
-                if wrapper.schema_id in found_by_family:
-                    continue  # the family already located this schema
-                found = apply_section_wrapper(wrapper, page)
-                if found is not None:
-                    instances.append((wrapper.schema_id, found))
-
-            deduped = _dedup_instances(instances)
-            obs.count("extract.dedup_dropped", len(instances) - len(deduped))
-            deduped.sort(key=lambda item: item[1].start)
-            obs.count("extract.sections", len(deduped))
-            obs.count(
-                "extract.records",
-                sum(len(instance.records) for _, instance in deduped),
-            )
-        return PageExtraction(
-            sections=tuple(
-                section_to_extracted(instance, schema_id)
-                for schema_id, instance in deduped
-            )
-        )
+        page = render_result_page(markup_or_document, query, obs=obs)
+        return self.assemble(self.apply(page, obs=obs), obs=obs)
 
 
 def _dedup_instances(

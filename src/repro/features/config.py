@@ -38,13 +38,6 @@ class FeatureConfig:
     #: W — the refinement threshold multiplier (§5.3, §5.5)
     refine_w: float = 1.8
 
-    #: use the fingerprint/memo fast kernels of :mod:`repro.perf` for the
-    #: record distance (Formula 4).  The fast paths are score-identical to
-    #: the reference implementations (property-tested in
-    #: ``tests/test_perf_kernels.py``); the switch exists so benchmarks
-    #: and tests can run the naive kernels side by side.
-    fast_kernels: bool = True
-
     #: floor applied to Dinr(OL) when used as a scale in W * Dinr —
     #: identical records have Dinr 0, which would make the refinement
     #: threshold vacuous; the paper does not discuss this corner, so a

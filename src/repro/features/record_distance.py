@@ -2,13 +2,12 @@
 
 The module-level distance functions are the *reference* kernels — the
 paper's formulas computed directly over the block features.
-:func:`record_distance` additionally owns the production fast path:
-with ``config.fast_kernels`` (the default) it compares the compact
-interned fingerprints of :mod:`repro.perf` — bitmask Dtal, memoized
-tag-forest distance, identity-checked feature tuples — which are
-score-identical to the reference kernels (property-tested in
-``tests/test_perf_kernels.py``, benchmarked in
-``benchmarks/bench_kernels.py``).
+:func:`record_distance` computes Formula 4 over the compact interned
+fingerprints of :mod:`repro.perf` instead — bitmask Dtal, memoized
+tag-forest distance, identity-checked feature tuples — score-identical
+to :func:`_record_distance_reference`, the oracle over the reference
+kernels (property-tested in ``tests/test_perf_kernels.py``, benchmarked
+in ``benchmarks/bench_kernels.py``).
 """
 
 from __future__ import annotations
@@ -87,9 +86,6 @@ def record_distance(
     ):
         # The same line span: every component distance is exactly 0.
         return 0.0
-    if not config.fast_kernels:
-        return _record_distance_reference(block1, block2, config)
-
     fp1 = block_fingerprint(block1)
     fp2 = block_fingerprint(block2)
     if fp1 == fp2:

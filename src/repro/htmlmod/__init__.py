@@ -6,7 +6,12 @@ pipeline consumes.
 """
 
 from repro.htmlmod.dom import Comment, Document, Element, Node, Text, collapse_whitespace
-from repro.htmlmod.parser import VOID_ELEMENTS, parse_html
+from repro.htmlmod.parser import (
+    MAX_NESTING_DEPTH,
+    VOID_ELEMENTS,
+    NestingDepthError,
+    parse_html,
+)
 from repro.htmlmod.serializer import serialize, serialize_node
 from repro.htmlmod.tokens import tokenize
 
@@ -14,6 +19,8 @@ __all__ = [
     "Comment",
     "Document",
     "Element",
+    "MAX_NESTING_DEPTH",
+    "NestingDepthError",
     "Node",
     "Text",
     "collapse_whitespace",

@@ -10,7 +10,9 @@ construction rules that matters for result pages generated around 2006:
 - stray end tags with no matching open element are ignored;
 - an end tag for a non-innermost open element closes the intervening
   elements (simple "popping" recovery);
-- missing ``<html>``/``<body>`` wrappers are synthesised.
+- missing ``<html>``/``<body>`` wrappers are synthesised;
+- elements nest at most :data:`MAX_NESTING_DEPTH` deep; deeper markup
+  raises :class:`NestingDepthError`.
 """
 
 from __future__ import annotations
@@ -26,6 +28,22 @@ from repro.htmlmod.tokens import (
     TextToken,
     tokenize,
 )
+
+#: How deep elements may nest, counting the ``<html>`` root as depth 1.
+#: Rendering and the tag-structure kernels walk the DOM recursively at
+#: about two interpreter frames per level and overflow the default
+#: recursion limit near 496 levels; result pages nest a few dozen.
+MAX_NESTING_DEPTH = 256
+
+
+class NestingDepthError(ValueError):
+    """Markup nests elements deeper than :data:`MAX_NESTING_DEPTH`.
+
+    The one error :func:`parse_html` raises: every entry point that
+    parses a page (extraction, health checks, serving, the CLI) passes
+    it through instead of overflowing the stack later on.
+    """
+
 
 #: Elements that never have content.
 VOID_ELEMENTS = frozenset(
@@ -95,6 +113,11 @@ class TreeBuilder:
         return self._stack[-1]
 
     def _open(self, element: Element) -> None:
+        if len(self._stack) >= MAX_NESTING_DEPTH:
+            raise NestingDepthError(
+                f"<{element.tag}> nests deeper than the "
+                f"{MAX_NESTING_DEPTH}-element limit of the HTML parser"
+            )
         self.current.append(element)
         self._stack.append(element)
 
@@ -217,8 +240,9 @@ class TreeBuilder:
 def parse_html(markup: str) -> Document:
     """Parse an HTML string into a :class:`Document`.
 
-    Never raises on malformed input; recovery follows the rules described
-    in the module docstring.
+    Recovers from malformed input by the rules in the module docstring;
+    the only error is :class:`NestingDepthError`, for elements nested
+    deeper than :data:`MAX_NESTING_DEPTH`.
     """
     builder = TreeBuilder()
     for token in tokenize(markup):

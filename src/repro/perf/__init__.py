@@ -9,17 +9,15 @@ implementations:
 
 - :mod:`repro.perf.fingerprints` — per-block compact signatures:
   attribute-set bitmasks (Dtal by popcount), interned feature tuples,
-  flattened post-order tag-forest signatures, plus the process-wide
-  text interner the serving path keys its marker tables on;
+  flattened post-order tag-forest signatures;
 - :mod:`repro.perf.kernels` — process-wide tree/forest distance memos
   keyed on those signatures, with hit/miss statistics surfaced as
   ``perf.*`` observability gauges;
-- :mod:`repro.perf.serve` — the *extraction* hot path: compiled engine
-  wrappers (one merged tagpath automaton per engine, precompiled marker
-  tables), the shared per-page line/span index, and the batch
+- :mod:`repro.perf.serve` — the serving path: one render per page
+  feeding both the extraction and the wrapper health, and the batch
   ``extract_many`` entry point behind ``python -m repro serve``;
 - :mod:`repro.perf.server` — the warm persistent worker pool:
-  :class:`~repro.perf.server.Server` spawns compiled-serving workers
+  :class:`~repro.perf.server.Server` spawns serving workers
   once, primes their per-process memos over representative pages, and
   amortizes IPC with auto-sized task chunks across repeated batches.
 
@@ -32,11 +30,9 @@ from typing import Any
 
 from repro.perf.fingerprints import (
     ATTR_INTERNER,
-    TEXT_INTERNER,
     TUPLE_INTERNER,
     AttrInterner,
     BlockFingerprint,
-    TextInterner,
     TupleInterner,
     block_fingerprint,
     interned_forest_signature,
@@ -61,12 +57,10 @@ from repro.perf.kernels import (
 # repro.perf.serve` also works directly.
 _SERVE_EXPORTS = frozenset(
     {
-        "CompiledSectionWrapper",
         "CompiledWrapper",
         "PageApplications",
         "PageIndex",
         "ServedPage",
-        "TagPathAutomaton",
         "build_page_index",
         "compile_wrapper",
         "extract_many",
@@ -91,12 +85,10 @@ def __getattr__(name: str) -> Any:
 __all__ = [  # lint: allow API01 -- serve names resolve lazily via module __getattr__ (PEP 562)
     "ATTR_INTERNER",
     "FOREST_MEMO",
-    "TEXT_INTERNER",
     "TREE_MEMO",
     "TUPLE_INTERNER",
     "AttrInterner",
     "BlockFingerprint",
-    "CompiledSectionWrapper",
     "CompiledWrapper",
     "PageApplications",
     "PageIndex",
@@ -104,8 +96,6 @@ __all__ = [  # lint: allow API01 -- serve names resolve lazily via module __geta
     "ServedPage",
     "Server",
     "SignedTree",
-    "TagPathAutomaton",
-    "TextInterner",
     "TupleInterner",
     "auto_chunksize",
     "block_fingerprint",

@@ -52,17 +52,13 @@ class AttrInterner:
     size)`` pair; each distinct frozenset is converted exactly once.
     """
 
-    __slots__ = ("_bits", "_masks", "hits", "misses", "generation")
+    __slots__ = ("_bits", "_masks", "hits", "misses")
 
     def __init__(self) -> None:
         self._bits: Dict[TextAttr, int] = {}
         self._masks: Dict[FrozenSet[TextAttr], AttrMask] = {}
         self.hits = 0
         self.misses = 0
-        #: bumped on every clear() — masks from different generations use
-        #: different bit assignments and must never be compared (compiled
-        #: wrappers re-derive theirs when the generation moves)
-        self.generation = 0
 
     def mask(self, attrs: FrozenSet[TextAttr]) -> AttrMask:
         found = self._masks.get(attrs)
@@ -95,55 +91,6 @@ class AttrInterner:
         self._masks.clear()
         self.hits = 0
         self.misses = 0
-        self.generation += 1
-
-
-class TextInterner:
-    """Process-wide ``str -> int`` registry for content-line text keys.
-
-    The serving path matches boundary-marker texts against cleaned line
-    texts millions of times; interning both sides turns every comparison
-    into small-int equality and lets per-page occurrence tables key on
-    ints.  Ids are only meaningful within one ``generation`` — a compiled
-    wrapper holding ids from before a :func:`clear` re-interns them.
-    """
-
-    __slots__ = ("_ids", "hits", "misses", "generation")
-
-    def __init__(self) -> None:
-        self._ids: Dict[str, int] = {}
-        self.hits = 0
-        self.misses = 0
-        #: bumped on every clear() — stale-id guard for compiled wrappers
-        self.generation = 0
-
-    def intern(self, text: str) -> int:
-        found = self._ids.get(text)
-        if found is None:
-            self.misses += 1
-            found = self._ids[text] = len(self._ids)
-        else:
-            self.hits += 1
-        return found
-
-    def stats(self) -> Dict[str, float]:
-        total = self.hits + self.misses
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hits / total if total else 0.0,
-            "entries": len(self._ids),
-            "generation": self.generation,
-        }
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def clear(self) -> None:
-        self._ids.clear()
-        self.hits = 0
-        self.misses = 0
-        self.generation += 1
 
 
 class TupleInterner:
@@ -171,7 +118,6 @@ class TupleInterner:
 #: process-wide interners; cleared by repro.perf.clear_kernel_caches()
 ATTR_INTERNER = AttrInterner()
 TUPLE_INTERNER = TupleInterner()
-TEXT_INTERNER = TextInterner()
 
 
 def masked_attr_distance(mask1: AttrMask, mask2: AttrMask) -> float:

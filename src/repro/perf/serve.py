@@ -1,223 +1,48 @@
-"""Compiled wrappers and the batch serving path.
+"""The serving path: one render per page, extraction and health from it.
 
-At production scale the dominant cost is *applying* a wrapper to a fresh
-page, not inducing it — yet the interpreted path re-walks the general
-induction code on every page: each :class:`~repro.core.wrapper
-.SectionWrapper` runs its own full-DOM ``pref.find`` traversal, boundary
-markers are matched by linear text scans over the content lines, every
-span lookup re-walks a subtree, and the monitoring loop renders each
-served page a second time just to score it.
+A served page needs two results: its extraction (what
+:meth:`~repro.core.wrapper.EngineWrapper.extract` returns) and the
+wrapper's health on it (what :func:`repro.core.verify.check_wrapper`
+returns).  Computed separately, that costs two parses, two renders and
+two application sweeps.  :meth:`CompiledWrapper.serve` parses, renders
+and cleans the page once, applies the engine's families and section
+wrappers once (:meth:`EngineWrapper.apply`), and builds both results
+from those shared applications — the extraction through
+:meth:`EngineWrapper.assemble`, the health through
+:func:`repro.core.verify.health_from_applications`.
 
-:func:`compile_wrapper` precompiles one engine's quaternions
-⟨pref, seps, LBMs, RBMs⟩ into specialized matchers:
+Application is the paper's §5.7 procedure and nothing else: the same
+:func:`repro.core.wrapper.apply_section_wrapper` that
+``EngineWrapper.extract`` and ``check_wrapper`` run, over the element
+spans :meth:`RenderedPage.line_range_of_element` caches per page.  Both
+results are therefore byte-identical to the interpreted pair by
+construction; the serve tests and ``benchmarks/bench_serve.py`` assert
+it on every page they serve.
 
-- a **tagpath automaton** (:class:`TagPathAutomaton`) — a trie over the
-  merged paths of every schema *and* family, run with a single pruned
-  DOM traversal that locates the candidate subtrees of all prefs at
-  once.  Position slack is carried as per-entry state on the walk (an
-  exact-match flag per alive entry) instead of a second relaxed
-  traversal, so the exact and slack candidate sets come out of one pass
-  in the same document order ``MergedTagPath.find`` produces;
-- a **page index** (:class:`PageIndex`) — one post-order walk folds
-  every element's line span (replacing per-call subtree walks), line
-  text keys are interned to ints (:data:`~repro.perf.fingerprints
-  .TEXT_INTERNER`) with per-key occurrence tables so boundary-marker
-  scans become bisects, and per-line attribute sets become interned
-  :data:`~repro.perf.fingerprints.ATTR_INTERNER` masks.  The index is
-  built once per page and shared by every wrapper applied to it;
-- a **shared render** — :meth:`CompiledWrapper.serve` computes each
-  schema's application once and assembles *both* the extraction (the
-  families-first / dedup pipeline of ``EngineWrapper.extract``) and the
-  wrapper health (:func:`repro.core.verify.health_from_applications`)
-  from those shared results.  The interpreted monitoring loop costs two
-  renders and two application sweeps per served page; the compiled loop
-  costs one of each.
-
-Everything stays bit-identical to the interpreted path — the automaton
-reproduces ``find``'s candidate order, the index reproduces every span
-and marker decision, and the corpus-wide property tests plus the CI
-serve job enforce byte-identical extraction JSON on every testbed page
-(see ``benchmarks/bench_serve.py`` → ``BENCH_serve.json`` for the
-measured pages/sec trajectory).
-
-Interned ids are only meaningful within one interner generation; a
-compiled wrapper snapshots the generation at compile time and re-interns
-its marker tables when :func:`repro.perf.clear_kernel_caches` has run in
-between.
+:class:`PageIndex` is a handle on one rendered, cleaned page, so one
+render can be shared by several wrappers (:func:`extract_many`, the
+:class:`repro.perf.server.Server` workers).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.core.dse import clean_page_lines
-from repro.core.model import (
-    PageExtraction,
-    SectionInstance,
-    section_to_extracted,
-)
+from repro.core.model import PageExtraction
 from repro.core.verify import WrapperHealth, health_from_applications
-from repro.core.wrapper import (
-    POSITION_SLACK,
-    EngineWrapper,
-    SectionWrapper,
-    _dedup_instances,
-    partition_subtree_records,
-)
-from repro.features.blocks import Block
-from repro.htmlmod.dom import Document, Element, Node
-from repro.htmlmod.parser import parse_html
+from repro.core.wrapper import EngineWrapper, PageApplications, render_result_page
+from repro.htmlmod.dom import Document
 from repro.obs import NULL_OBSERVER, ObserverLike
-from repro.perf.fingerprints import ATTR_INTERNER, TEXT_INTERNER, AttrMask
-from repro.render.layout import render_page
 from repro.render.lines import RenderedPage
-from repro.tagpath.paths import MergedTagPath
-
-#: automaton constraint codes (S counts are >= 0, so negatives are free)
-_FLEX = -1  # flexible level: any element child with the right tag
-_ABSENT = -2  # the entry's path does not run through this trie node
-
-#: span-cache sentinel distinguishing "not computed" from "no lines"
-_UNKNOWN_SPAN: Any = object()
 
 
-# ---------------------------------------------------------------------------
-# Per-page index: spans, interned line keys, marker occurrence tables
-# ---------------------------------------------------------------------------
-
-
-def _dom_span(
-    root: Element, leaf_line: Dict[int, int]
-) -> Optional[Tuple[int, int]]:
-    """``page.line_range_of_element`` in two early-exit leaf searches.
-
-    Rendering walks the DOM pre-order, so rendered-leaf line numbers are
-    non-decreasing in document order: the element's span is the line of
-    its *first* rendered leaf and the line of its *last* one — found by
-    a forward and a backward pre-order scan that each stop at the first
-    mapped node — instead of a min/max over the whole subtree.  An
-    element that is itself a rendered leaf precedes its descendants in
-    document order, so it bounds ``lo`` but never ``hi``.
-    """
-    lo: Optional[int] = None
-    stack: List[Node] = [root]
-    while stack:
-        node = stack.pop()
-        found = leaf_line.get(id(node))
-        if found is not None:
-            lo = found
-            break
-        if isinstance(node, Element):
-            stack.extend(reversed(node.children))
-    if lo is None:
-        return None
-    hi: Optional[int] = None
-    back: List[Tuple[Node, bool]] = [(root, False)]
-    while back:
-        node, expanded = back.pop()
-        if not expanded and isinstance(node, Element) and node.children:
-            back.append((node, True))  # the element itself, after its subtree
-            back.extend((child, False) for child in node.children)
-            continue
-        found = leaf_line.get(id(node))
-        if found is not None:
-            hi = found
-            break
-    assert hi is not None  # the forward scan found a rendered leaf
-    return (lo, hi)
-
-
+@dataclass(frozen=True)
 class PageIndex:
-    """One page's precomputed lookup structures, shared by all wrappers.
+    """One rendered, cleaned result page, shared by every wrapper applied
+    to it (element spans are cached on the page itself)."""
 
-    - ``span_of`` — element -> line span, folded lazily per queried
-      subtree: one post-order walk of the candidate fills the spans of
-      every element under it, so the automaton's handful of candidates
-      cost far less than an eager whole-page fold;
-    - ``key_ids`` — per line, the interned id of the §5.7 marker text key
-      (``line.cleaned or line.text.lower()``);
-    - occurrence tables — per text key, the sorted line numbers where it
-      appears, so "first marker in [lo, hi]" is a bisect;
-    - ``attr_mask`` — a line's interned attribute bitmask (mask equality
-      is frozenset equality within one interner generation).  Masks are
-      interned lazily per queried line: scoring only ever consults the
-      two edge lines of a candidate span, so eagerly masking every
-      content line would cost more than the whole lookup saves.
-    """
-
-    __slots__ = (
-        "page",
-        "text_generation",
-        "attr_generation",
-        "key_ids",
-        "_attr_masks",
-        "_spans",
-        "_occurrences",
-    )
-
-    def __init__(self, page: RenderedPage) -> None:
-        self.page = page
-        self.text_generation = TEXT_INTERNER.generation
-        self.attr_generation = ATTR_INTERNER.generation
-        intern = TEXT_INTERNER.intern
-        key_ids = [intern(line.cleaned or line.text.lower()) for line in page.lines]
-        occurrences: Dict[int, List[int]] = {}
-        for number, key_id in enumerate(key_ids):
-            table = occurrences.get(key_id)
-            if table is None:
-                occurrences[key_id] = [number]
-            else:
-                table.append(number)
-        self.key_ids: Tuple[int, ...] = tuple(key_ids)
-        self._attr_masks: Dict[int, AttrMask] = {}
-        self._occurrences = occurrences
-        self._spans: Dict[int, Optional[Tuple[int, int]]] = {}
-
-    def span_of(self, element: Element) -> Optional[Tuple[int, int]]:
-        """Cached ``page.line_range_of_element`` replacement (lazy).
-
-        Misses run :func:`_dom_span`'s two early-exit leaf searches —
-        typically a few nodes each — rather than walking the subtree.
-        """
-        spans = self._spans
-        key = id(element)
-        found = spans.get(key, _UNKNOWN_SPAN)
-        if found is _UNKNOWN_SPAN:
-            found = spans[key] = _dom_span(element, self.page.leaf_line_map())
-        return found
-
-    def attr_mask(self, number: int) -> AttrMask:
-        """The interned attribute mask of line ``number`` (lazy, cached)."""
-        found = self._attr_masks.get(number)
-        if found is None:
-            found = self._attr_masks[number] = ATTR_INTERNER.mask(
-                self.page.lines[number].attrs
-            )
-        return found
-
-    def first_occurrence(
-        self, text_ids: Sequence[int], lo: int, hi: int
-    ) -> Optional[int]:
-        """The first line in ``[lo, hi]`` whose key is one of ``text_ids``.
-
-        Equivalent to the interpreted path's linear scan testing each
-        line against a marker text set, in O(k log n) for k marker texts.
-        """
-        best = -1
-        occurrences = self._occurrences
-        for text_id in text_ids:
-            table = occurrences.get(text_id)
-            if not table:
-                continue
-            position = bisect_left(table, lo)
-            if position < len(table):
-                number = table[position]
-                if number <= hi and (best < 0 or number < best):
-                    best = number
-                    hi = number  # later ids must strictly beat this line
-        return best if best >= 0 else None
+    page: RenderedPage
 
 
 def build_page_index(
@@ -225,339 +50,8 @@ def build_page_index(
     query: str = "",
     obs: ObserverLike = NULL_OBSERVER,
 ) -> PageIndex:
-    """Parse, render, clean and index one result page (the shared render).
-
-    The rendering steps are exactly ``EngineWrapper.extract``'s (same
-    span name, same cleaning), so every downstream decision sees the
-    same content lines the interpreted path sees.
-    """
-    with obs.span("render"):
-        if isinstance(markup_or_document, Document):
-            document = markup_or_document
-        else:
-            document = parse_html(markup_or_document)
-        page = render_page(document)
-        clean_page_lines(page, query.split())
-        obs.count("render.lines", len(page.lines))
-        return PageIndex(page)
-
-
-# ---------------------------------------------------------------------------
-# The merged tagpath automaton
-# ---------------------------------------------------------------------------
-
-
-class _TrieNode:
-    """One level of the merged-path trie (depth = tags consumed)."""
-
-    __slots__ = ("depth", "children", "constraints", "entry_ids", "terminals")
-
-    def __init__(self, depth: int) -> None:
-        self.depth = depth
-        self.children: Dict[str, "_TrieNode"] = {}
-        #: entry id -> required S count to *enter* this node (or _FLEX)
-        self.constraints: Dict[int, int] = {}
-        #: entries whose path runs through this node, in add order
-        self.entry_ids: List[int] = []
-        #: entries whose pref ends exactly here
-        self.terminals: List[int] = []
-
-
-class TagPathAutomaton:
-    """All merged tag paths of one engine, run in a single DOM traversal.
-
-    Each DOM element can match at most one trie node (its ancestor tag
-    sequence determines the path), so one pre-order walk carrying the
-    set of still-alive entries — each with an "exact so far" flag — finds
-    every pref's candidates.  Slack is per entry: a fixed level passes
-    within ``±slack`` S steps and clears the exact flag unless the count
-    matches exactly, which is precisely the two-pass semantics of
-    ``find(root, 0)`` + ``find(root, slack)`` folded into one walk.  The
-    traversal prunes: subtrees where no entry remains alive are never
-    visited.
-
-    Candidate order: all of an entry's terminals sit at one depth, and a
-    pre-order walk visits same-depth nodes in document order — the order
-    ``MergedTagPath.find``'s level-synchronous BFS emits.
-    """
-
-    __slots__ = ("_root", "_slacks", "_lengths")
-
-    def __init__(self) -> None:
-        self._root = _TrieNode(0)
-        self._slacks: List[int] = []
-        self._lengths: List[int] = []
-
-    def __len__(self) -> int:
-        return len(self._slacks)
-
-    def add(self, pref: MergedTagPath, slack: int) -> int:
-        """Register one merged path; returns its entry id."""
-        entry = len(self._slacks)
-        self._slacks.append(slack)
-        self._lengths.append(len(pref.tags))
-        node = self._root
-        for level, tag in enumerate(pref.tags):
-            nxt = node.children.get(tag)
-            if nxt is None:
-                nxt = node.children[tag] = _TrieNode(node.depth + 1)
-            fixed = pref.fixed_counts[level]
-            nxt.constraints[entry] = _FLEX if fixed is None else fixed
-            nxt.entry_ids.append(entry)
-            node = nxt
-        node.terminals.append(entry)
-        return entry
-
-    def run(
-        self, root: Element
-    ) -> List[Tuple[List[Element], List[Element]]]:
-        """Per entry: ``(find(pref, 0), find(pref, slack))`` candidates."""
-        results: List[Tuple[List[Element], List[Element]]] = [
-            ([], []) for _ in self._slacks
-        ]
-        start = self._root.children.get(root.tag)
-        if start is None:
-            return results
-        # Level 0 matches on the root tag alone — find() ignores the
-        # fixed count (and slack) of the first level.
-        lengths = self._lengths
-        slacks = self._slacks
-        for entry in start.terminals:
-            results[entry][0].append(root)
-            results[entry][1].append(root)
-        alive = tuple(
-            (entry, True) for entry in start.entry_ids if lengths[entry] > 1
-        )
-        if not alive:
-            return results
-        stack: List[
-            Tuple[Element, _TrieNode, Tuple[Tuple[int, bool], ...]]
-        ] = [(root, start, alive)]
-        while stack:
-            element, node, alive = stack.pop()
-            children = node.children
-            pending: List[
-                Tuple[Element, _TrieNode, Tuple[Tuple[int, bool], ...]]
-            ] = []
-            index = 0
-            for child in element.children:
-                if not isinstance(child, Element):
-                    continue
-                nxt = children.get(child.tag)
-                if nxt is not None:
-                    survivors: List[Tuple[int, bool]] = []
-                    for entry, exact in alive:
-                        fixed = nxt.constraints.get(entry, _ABSENT)
-                        if fixed == _ABSENT:
-                            continue
-                        if fixed == _FLEX:
-                            survivors.append((entry, exact))
-                        else:
-                            delta = index - fixed
-                            if delta < 0:
-                                delta = -delta
-                            if delta <= slacks[entry]:
-                                survivors.append((entry, exact and delta == 0))
-                    if survivors:
-                        if nxt.terminals:
-                            depth = nxt.depth
-                            for entry, exact in survivors:
-                                if lengths[entry] == depth:
-                                    results[entry][1].append(child)
-                                    if exact:
-                                        results[entry][0].append(child)
-                        deeper = tuple(
-                            item
-                            for item in survivors
-                            if lengths[item[0]] > nxt.depth
-                        )
-                        if deeper:
-                            pending.append((child, nxt, deeper))
-                index += 1
-            for item in reversed(pending):
-                stack.append(item)
-        return results
-
-
-# ---------------------------------------------------------------------------
-# Compiled wrappers
-# ---------------------------------------------------------------------------
-
-
-class CompiledSectionWrapper:
-    """One section wrapper with precompiled marker lookup tables.
-
-    ``apply`` mirrors :func:`repro.core.wrapper.apply_section_wrapper`
-    decision for decision — candidate scoring, the ambiguity bail-out,
-    record partitioning, marker bounding and the final score formula —
-    but every span lookup hits the page index, and every marker match is
-    an int-set membership or a bisect over occurrence tables.
-    """
-
-    __slots__ = (
-        "wrapper",
-        "lbm_ids",
-        "rbm_ids",
-        "lbm_id_set",
-        "rbm_id_set",
-        "lbm_mask",
-        "rbm_mask",
-    )
-
-    def __init__(self, wrapper: SectionWrapper) -> None:
-        self.wrapper = wrapper
-        self.lbm_ids: Tuple[int, ...] = ()
-        self.rbm_ids: Tuple[int, ...] = ()
-        self.lbm_id_set: FrozenSet[int] = frozenset()
-        self.rbm_id_set: FrozenSet[int] = frozenset()
-        self.lbm_mask: Optional[AttrMask] = None
-        self.rbm_mask: Optional[AttrMask] = None
-        self.refresh()
-
-    def refresh(self) -> None:
-        """(Re-)intern the marker tables under the current generation."""
-        intern = TEXT_INTERNER.intern
-        wrapper = self.wrapper
-        self.lbm_ids = tuple(
-            intern(text) for text in sorted(wrapper.lbm_texts)
-        )
-        self.rbm_ids = tuple(
-            intern(text) for text in sorted(wrapper.rbm_texts)
-        )
-        self.lbm_id_set = frozenset(self.lbm_ids)
-        self.rbm_id_set = frozenset(self.rbm_ids)
-        self.lbm_mask = (
-            ATTR_INTERNER.mask(wrapper.lbm_attrs) if wrapper.lbm_attrs else None
-        )
-        self.rbm_mask = (
-            ATTR_INTERNER.mask(wrapper.rbm_attrs) if wrapper.rbm_attrs else None
-        )
-
-    def apply(
-        self,
-        index: PageIndex,
-        exact: Sequence[Element],
-        slacked: Sequence[Element],
-    ) -> Optional[SectionInstance]:
-        """Compiled twin of ``apply_section_wrapper`` (bit-identical)."""
-        candidates = exact if exact else slacked
-        if not candidates:
-            return None
-        wrapper = self.wrapper
-        best: Optional[Element] = None
-        best_key: Optional[Tuple[float, int]] = None
-        for position, subtree in enumerate(candidates):
-            key = (self._score(index, subtree), -position)
-            if best_key is None or key > best_key:
-                best_key = key
-                best = subtree
-        assert best is not None and best_key is not None
-        best_score = best_key[0]
-        if len(candidates) > 1 and best_score <= 0.0:
-            # Multiple positions fit the path but none shows the schema's
-            # boundary markers: extracting would be guessing.
-            return None
-
-        page = index.page
-        records = partition_subtree_records(
-            page, best, wrapper.separator, span_of=index.span_of
-        )
-        span = index.span_of(best)
-        if span is None:
-            return None
-        records, lbm, rbm, marker_hits = self._bound(index, records, span)
-        if not records:
-            return None
-        return SectionInstance(
-            page=page,
-            block=Block(page, records[0].start, records[-1].end),
-            records=records,
-            lbm=lbm,
-            rbm=rbm,
-            origin=f"wrapper:{wrapper.schema_id}",
-            # Verified marker hits dominate the pre-bounding candidate
-            # score, exactly as in the interpreted path.
-            score=(
-                float(marker_hits)
-                if marker_hits
-                else max(best_score, 0.0) * 0.5
-            ),
-        )
-
-    def _score(self, index: PageIndex, subtree: Element) -> float:
-        """Compiled ``_candidate_score``: marker agreement at the edges."""
-        span = index.span_of(subtree)
-        if span is None:
-            return float("-inf")
-        start, end = span
-        score = 0.0
-        if start - 1 >= 0 and self.lbm_ids:
-            if index.key_ids[start - 1] in self.lbm_id_set:
-                score += 1.0
-            elif (
-                self.lbm_mask is not None
-                and index.attr_mask(start - 1) == self.lbm_mask
-            ):
-                score += 0.5
-        if end + 1 < len(index.page.lines) and self.rbm_ids:
-            if index.key_ids[end + 1] in self.rbm_id_set:
-                score += 1.0
-            elif (
-                self.rbm_mask is not None
-                and index.attr_mask(end + 1) == self.rbm_mask
-            ):
-                score += 0.5
-        return score
-
-    def _bound(
-        self,
-        index: PageIndex,
-        records: List[Block],
-        span: Tuple[int, int],
-    ) -> Tuple[List[Block], Optional[int], Optional[int], int]:
-        """Compiled ``_bound_by_markers``: first-occurrence bisects."""
-        start, end = span
-        page = index.page
-        lbm: Optional[int] = start - 1 if start - 1 >= 0 else None
-        rbm: Optional[int] = end + 1 if end + 1 < len(page.lines) else None
-        hits = 0
-        if self.lbm_ids:
-            number = index.first_occurrence(
-                self.lbm_ids, max(0, start - 1), end
-            )
-            if number is not None:
-                lbm = number
-                records = [r for r in records if r.start > number]
-                hits += 1
-        if self.rbm_ids and records:
-            # The first marker occurrence after the section's first record
-            # bounds it on the right, as in the interpreted scan.
-            number = index.first_occurrence(
-                self.rbm_ids,
-                records[0].start + 1,
-                min(len(page.lines), end + 2) - 1,
-            )
-            if number is not None:
-                rbm = number
-                records = [r for r in records if r.end < number]
-                hits += 1
-        return records, lbm, rbm, hits
-
-
-@dataclass
-class PageApplications:
-    """One page's shared per-schema application results.
-
-    ``family_sections`` mirrors the families pass of
-    ``EngineWrapper.extract``; ``wrapper_instances`` is aligned with
-    ``engine.wrappers`` (every wrapper applied individually — the shape
-    :func:`repro.core.verify.health_from_applications` scores).  The
-    extraction and the health of one served page are both assembled from
-    this one object, so serving with monitoring renders and applies once.
-    """
-
-    family_sections: List[Tuple[str, SectionInstance]]
-    wrapper_instances: List[Optional[SectionInstance]]
+    """Parse, render and clean one result page for serving."""
+    return PageIndex(render_result_page(markup_or_document, query, obs=obs))
 
 
 @dataclass(frozen=True)
@@ -569,138 +63,32 @@ class ServedPage:
 
 
 class CompiledWrapper:
-    """A compiled :class:`~repro.core.wrapper.EngineWrapper`.
+    """An :class:`~repro.core.wrapper.EngineWrapper` ready for serving.
 
-    Holds the merged tagpath automaton over every family and schema pref
-    plus per-schema compiled marker tables; ``extract`` is bit-identical
-    to ``EngineWrapper.extract`` and ``serve`` additionally returns the
-    page's :class:`~repro.core.verify.WrapperHealth` from the same shared
-    application results.
+    ``extract`` equals ``EngineWrapper.extract``; ``serve`` additionally
+    returns the page's :class:`~repro.core.verify.WrapperHealth`, equal
+    to ``check_wrapper``'s, from the same applications.
     """
 
-    __slots__ = (
-        "engine",
-        "_automaton",
-        "_family_entries",
-        "_wrapper_entries",
-        "_sections",
-        "_text_generation",
-        "_attr_generation",
-    )
+    __slots__ = ("engine",)
 
     def __init__(self, engine: EngineWrapper) -> None:
         self.engine = engine
-        self._automaton = TagPathAutomaton()
-        # Families search with slack 0; a family subclass without a pref
-        # (entry None) falls back to locating its own candidates.
-        self._family_entries: List[Optional[int]] = []
-        for family in engine.families:
-            pref = getattr(family, "pref", None)
-            self._family_entries.append(
-                self._automaton.add(pref, 0)
-                if isinstance(pref, MergedTagPath)
-                else None
-            )
-        self._wrapper_entries: List[int] = [
-            self._automaton.add(wrapper.pref, POSITION_SLACK)
-            for wrapper in engine.wrappers
-        ]
-        self._sections: List[CompiledSectionWrapper] = [
-            CompiledSectionWrapper(wrapper) for wrapper in engine.wrappers
-        ]
-        self._text_generation = TEXT_INTERNER.generation
-        self._attr_generation = ATTR_INTERNER.generation
 
     def __repr__(self) -> str:
-        return (
-            f"CompiledWrapper(schemas={len(self._sections)}, "
-            f"families={len(self._family_entries)}, "
-            f"automaton={len(self._automaton)} entries)"
-        )
+        return f"CompiledWrapper({self.engine!r})"
 
-    def _ensure_fresh(self) -> None:
-        """Re-intern marker tables after a kernel-cache clear."""
-        if (
-            TEXT_INTERNER.generation != self._text_generation
-            or ATTR_INTERNER.generation != self._attr_generation
-        ):
-            for section in self._sections:
-                section.refresh()
-            self._text_generation = TEXT_INTERNER.generation
-            self._attr_generation = ATTR_INTERNER.generation
-
-    # -- application ------------------------------------------------------
     def apply_to_index(
         self, index: PageIndex, obs: ObserverLike = NULL_OBSERVER
     ) -> PageApplications:
         """Apply every family and schema to one indexed page, once."""
-        self._ensure_fresh()
-        if (
-            index.text_generation != TEXT_INTERNER.generation
-            or index.attr_generation != ATTR_INTERNER.generation
-        ):
-            raise ValueError(
-                "stale PageIndex: the interners were cleared after this "
-                "page was indexed; re-render the page"
-            )
-        page = index.page
-        located = self._automaton.run(page.document.root)
-
-        family_sections: List[Tuple[str, SectionInstance]] = []
-        for family, entry in zip(self.engine.families, self._family_entries):
-            if entry is None:
-                family_sections.extend(
-                    family.apply(page, span_of=index.span_of)
-                )
-            else:
-                # slack 0: the exact and slack candidate lists coincide.
-                family_sections.extend(
-                    family.apply(
-                        page,
-                        candidates=located[entry][0],
-                        span_of=index.span_of,
-                    )
-                )
-        obs.count("serve.family_sections", len(family_sections))
-
-        wrapper_instances: List[Optional[SectionInstance]] = []
-        for section, entry in zip(self._sections, self._wrapper_entries):
-            exact, slacked = located[entry]
-            wrapper_instances.append(section.apply(index, exact, slacked))
-        obs.count("serve.wrappers_applied", len(wrapper_instances))
-        return PageApplications(family_sections, wrapper_instances)
-
-    def _assemble(self, applications: PageApplications) -> PageExtraction:
-        """``EngineWrapper.extract``'s assembly over shared applications."""
-        instances: List[Tuple[str, SectionInstance]] = []
-        found_by_family: Set[str] = set()
-        for schema_id, instance in applications.family_sections:
-            instances.append((schema_id, instance))
-            found_by_family.add(schema_id)
-        for wrapper, instance in zip(
-            self.engine.wrappers, applications.wrapper_instances
-        ):
-            if wrapper.schema_id in found_by_family:
-                continue  # the family already located this schema
-            if instance is not None:
-                instances.append((wrapper.schema_id, instance))
-        deduped = _dedup_instances(instances)
-        deduped.sort(key=lambda item: item[1].start)
-        return PageExtraction(
-            sections=tuple(
-                section_to_extracted(instance, schema_id)
-                for schema_id, instance in deduped
-            )
-        )
+        return self.engine.apply(index.page, obs=obs)
 
     def extract_index(
         self, index: PageIndex, obs: ObserverLike = NULL_OBSERVER
     ) -> PageExtraction:
         """Extraction from an already-indexed page."""
-        with obs.span("apply"):
-            extraction = self._assemble(self.apply_to_index(index, obs=obs))
-            obs.count("serve.sections", len(extraction.sections))
-        return extraction
+        return self.engine.assemble(self.apply_to_index(index, obs=obs), obs=obs)
 
     def extract(
         self,
@@ -708,7 +96,7 @@ class CompiledWrapper:
         query: str = "",
         obs: ObserverLike = NULL_OBSERVER,
     ) -> PageExtraction:
-        """Bit-identical twin of :meth:`EngineWrapper.extract`."""
+        """The page's extraction, as :meth:`EngineWrapper.extract`."""
         index = build_page_index(markup_or_document, query, obs=obs)
         return self.extract_index(index, obs=obs)
 
@@ -716,10 +104,8 @@ class CompiledWrapper:
         self, index: PageIndex, obs: ObserverLike = NULL_OBSERVER
     ) -> ServedPage:
         """Extraction + health for one indexed page, from one apply pass."""
-        with obs.span("apply"):
-            applications = self.apply_to_index(index, obs=obs)
-            extraction = self._assemble(applications)
-            obs.count("serve.sections", len(extraction.sections))
+        applications = self.apply_to_index(index, obs=obs)
+        extraction = self.engine.assemble(applications, obs=obs)
         health = health_from_applications(
             self.engine, applications.wrapper_instances, obs=obs
         )
@@ -733,23 +119,41 @@ class CompiledWrapper:
     ) -> ServedPage:
         """One shared render serving extraction *and* monitoring health.
 
-        The interpreted equivalent is ``engine.extract(page, query)``
-        followed by ``check_wrapper(engine, page, query)`` — two parses,
-        two renders and two application sweeps.  The health returned here
-        is bit-identical to that ``check_wrapper`` call.
+        Equal to ``engine.extract(page, query)`` followed by
+        ``check_wrapper(engine, page, query)``, at one parse, one render
+        and one application sweep instead of two of each.
         """
         index = build_page_index(markup_or_document, query, obs=obs)
         return self.serve_index(index, obs=obs)
 
 
 def compile_wrapper(engine: EngineWrapper) -> CompiledWrapper:
-    """Compile an engine wrapper for the serving hot path."""
+    """Wrap an engine wrapper for the serving path."""
     return CompiledWrapper(engine)
 
 
 # ---------------------------------------------------------------------------
 # Batch serving
 # ---------------------------------------------------------------------------
+
+
+def resolve_assignments(
+    count: int, wrapper_of: Optional[Sequence[int]], wrapper_count: int
+) -> List[Tuple[int, ...]]:
+    """Per-page wrapper-id tuples (every wrapper unless ``wrapper_of``).
+
+    Raises ValueError when ``wrapper_of`` does not assign exactly one
+    in-range wrapper id to each of the ``count`` pages.
+    """
+    if wrapper_of is not None and len(wrapper_of) != count:
+        raise ValueError("wrapper_of must assign one wrapper per page")
+    if wrapper_of is None:
+        everyone = tuple(range(wrapper_count))
+        return [everyone] * count
+    for wrapper_id in wrapper_of:
+        if not 0 <= wrapper_id < wrapper_count:
+            raise ValueError(f"wrapper_of index {wrapper_id} out of range")
+    return [(wrapper_id,) for wrapper_id in wrapper_of]
 
 
 def extract_many(
@@ -763,13 +167,13 @@ def extract_many(
     """Batch extraction: render each page once, apply many wrappers.
 
     ``pages`` is a sequence of ``(markup, query)`` pairs; ``wrappers``
-    may mix plain and compiled engine wrappers (plain ones are compiled
-    once up front).  By default every wrapper is applied to every page;
-    ``wrapper_of`` (one wrapper index per page) restricts each page to
-    its own wrapper — the shape of a multi-engine serving fleet.  Returns
-    one list of :class:`PageExtraction` per page, aligned with the
-    applied wrapper order; results are deterministic and independent of
-    ``jobs`` (asserted corpus-wide in the serve tests).
+    may mix plain and compiled engine wrappers.  By default every
+    wrapper is applied to every page; ``wrapper_of`` (one wrapper index
+    per page) restricts each page to its own wrapper — the shape of a
+    multi-engine serving fleet.  Returns one list of
+    :class:`PageExtraction` per page, aligned with the applied wrapper
+    order; results are deterministic and independent of ``jobs``
+    (asserted corpus-wide in the serve tests).
 
     ``jobs <= 1`` (or a single page) runs the in-process loop and never
     touches ``multiprocessing``.  Larger ``jobs`` delegate to a
@@ -778,20 +182,10 @@ def extract_many(
     workers start cold; a caller serving repeated batches should hold a
     ``Server`` (with priming pages) open instead.
     """
-    if wrapper_of is not None and len(wrapper_of) != len(pages):
-        raise ValueError("wrapper_of must assign one wrapper per page")
-    if wrapper_of is not None:
-        for wrapper_id in wrapper_of:
-            if not 0 <= wrapper_id < len(wrappers):
-                raise ValueError(f"wrapper_of index {wrapper_id} out of range")
+    assignments = resolve_assignments(len(pages), wrapper_of, len(wrappers))
 
     with obs.span("extract_many"):
         if jobs <= 1 or len(pages) <= 1:
-            if wrapper_of is None:
-                everyone = tuple(range(len(wrappers)))
-                assignments: List[Tuple[int, ...]] = [everyone] * len(pages)
-            else:
-                assignments = [(wrapper_id,) for wrapper_id in wrapper_of]
             compiled = [
                 wrapper
                 if isinstance(wrapper, CompiledWrapper)

@@ -35,11 +35,11 @@ round-trip.  ``BENCH_serve.json`` recorded the result — a 4-worker pool
   and rebuilds draw from the same ``max_restarts`` budget and raise
   once it is exhausted.
 
-Results are bit-identical to the serial compiled path (and therefore to
-the interpreted :meth:`~repro.core.wrapper.EngineWrapper.extract` /
-``check_wrapper`` pair): workers run the exact same
-:class:`~repro.perf.serve.CompiledWrapper` code on the exact same page
-index, and the parity suite asserts it corpus-wide.
+Results are bit-identical to the serial serving path (and therefore to
+the :meth:`~repro.core.wrapper.EngineWrapper.extract` /
+``check_wrapper`` pair): workers run the same
+:class:`~repro.perf.serve.CompiledWrapper` code on the same rendered
+page, and the parity suite asserts it corpus-wide.
 
 Per-worker observability rides the same protocol: when the caller's
 observer is enabled each worker keeps its own
@@ -77,7 +77,12 @@ from repro.core.model import PageExtraction
 from repro.core.wrapper import EngineWrapper
 from repro.obs import NULL_OBSERVER, Observer, ObserverLike
 from repro.perf.kernels import kernel_cache_stats
-from repro.perf.serve import CompiledWrapper, ServedPage, build_page_index
+from repro.perf.serve import (
+    CompiledWrapper,
+    ServedPage,
+    build_page_index,
+    resolve_assignments,
+)
 
 #: one unit of worker work: (markup, query, wrapper ids to apply)
 _PageTask = Tuple[str, str, Tuple[int, ...]]
@@ -121,21 +126,6 @@ def auto_chunksize(page_count: int, workers: int) -> int:
     if extra:
         chunk += 1
     return max(1, min(chunk, _MAX_CHUNKSIZE))
-
-
-def _resolve_assignments(
-    count: int, wrapper_of: Optional[Sequence[int]], wrapper_count: int
-) -> List[Tuple[int, ...]]:
-    """Per-page wrapper-id tuples (every wrapper unless ``wrapper_of``)."""
-    if wrapper_of is not None and len(wrapper_of) != count:
-        raise ValueError("wrapper_of must assign one wrapper per page")
-    if wrapper_of is None:
-        everyone = tuple(range(wrapper_count))
-        return [everyone] * count
-    for wrapper_id in wrapper_of:
-        if not 0 <= wrapper_id < wrapper_count:
-            raise ValueError(f"wrapper_of index {wrapper_id} out of range")
-    return [(wrapper_id,) for wrapper_id in wrapper_of]
 
 
 def _prime_worker(
@@ -211,7 +201,7 @@ def _worker_main(
     obs: ObserverLike = Observer() if observed else NULL_OBSERVER
     compiled = [CompiledWrapper(engine) for engine in engines]
     primed = _prime_worker(compiled, prime_tasks, obs)
-    # The compiled programs and primed memos are permanent for this
+    # The wrappers and primed memos are permanent for this
     # worker's lifetime; freeze them out of the cyclic GC so later
     # collections never re-scan the (large) warm cache population.
     gc.collect()
@@ -282,7 +272,7 @@ class Server:
             wrapper.engine if isinstance(wrapper, CompiledWrapper) else wrapper
             for wrapper in wrappers
         ]
-        prime_ids = _resolve_assignments(
+        prime_ids = resolve_assignments(
             len(prime_pages), prime_of, len(self._engines)
         )
         self._prime: Tuple[_PageTask, ...] = tuple(
@@ -617,7 +607,7 @@ class Server:
     ) -> List[List[Any]]:
         if self._closed:
             raise RuntimeError("Server is closed")
-        assignments = _resolve_assignments(
+        assignments = resolve_assignments(
             len(pages), wrapper_of, len(self._engines)
         )
         if not pages:

@@ -10,12 +10,15 @@ features (tag paths, tag forests) can be computed for any span of lines.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.htmlmod.dom import Document, Element, Node, Text
 from repro.render.linetypes import LineType
 from repro.render.styles import TextAttr
 from repro.tagpath.paths import TagPath
+
+#: span-cache sentinel distinguishing "not computed" from "no lines"
+_UNKNOWN_SPAN: Any = object()
 
 
 @dataclass
@@ -65,9 +68,11 @@ class RenderedPage:
         self.document = document
         self.lines: List[ContentLine] = list(lines)
         self._leaf_to_line: Dict[int, int] = {}
-        for line in self.lines:  # lint: allow PERF01 -- one-pass leaf->line map build, linear in page leaves; this map is what lets PageIndex fold spans without re-walking subtrees
+        for line in self.lines:  # lint: allow PERF01 -- one-pass leaf->line map build, linear in page leaves; element spans then resolve by early-exit leaf searches instead of subtree walks
             for leaf in line.leaves:
                 self._leaf_to_line[id(leaf)] = line.number
+        #: element id -> its line span (see line_range_of_element)
+        self._spans: Dict[int, Optional[Tuple[int, int]]] = {}
 
     def __len__(self) -> int:
         return len(self.lines)
@@ -78,10 +83,9 @@ class RenderedPage:
     def leaf_line_map(self) -> Dict[int, int]:
         """The ``id(leaf) -> line number`` map backing the DOM<->line links.
 
-        Exposed (read-only by convention) so one-pass indexers — e.g.
-        :class:`repro.perf.serve.PageIndex` — can fold every element's
-        line span in a single post-order walk instead of re-walking each
-        subtree per :meth:`line_range_of_element` call.
+        Exposed (read-only by convention) for callers that key whole
+        subtrees by where their rendered leaves fall, such as the
+        section-homogeneity memo key of :mod:`repro.core.verify`.
         """
         return self._leaf_to_line
 
@@ -98,15 +102,19 @@ class RenderedPage:
         return None
 
     def line_range_of_element(self, element: Element) -> Optional[Tuple[int, int]]:
-        """The [first, last] line numbers covered by an element, if any."""
-        numbers = [
-            self._leaf_to_line[id(node)]
-            for node in element.iter()
-            if id(node) in self._leaf_to_line
-        ]
-        if not numbers:
-            return None
-        return min(numbers), max(numbers)
+        """The [first, last] line numbers covered by an element, if any.
+
+        Computed once per element and cached on the page: wrapper
+        application asks for the same candidate and child spans many
+        times per page.  The element must belong to this page's
+        document, which is never mutated after rendering.
+        """
+        spans = self._spans
+        key = id(element)
+        found = spans.get(key, _UNKNOWN_SPAN)
+        if found is _UNKNOWN_SPAN:
+            found = spans[key] = _dom_span(element, self._leaf_to_line)
+        return found
 
     # -- tag-structure helpers -----------------------------------------------
     def span_forest(self, start: int, end: int) -> List[Element]:
@@ -218,6 +226,47 @@ class RenderedPage:
     def dump(self) -> str:
         """A human-readable rendering of the content lines (for examples)."""
         return "\n".join(str(line) for line in self.lines)
+
+
+def _dom_span(
+    root: Element, leaf_line: Dict[int, int]
+) -> Optional[Tuple[int, int]]:
+    """An element's line span in two early-exit leaf searches.
+
+    Rendering walks the DOM pre-order, so rendered-leaf line numbers are
+    non-decreasing in document order: the element's span is the line of
+    its *first* rendered leaf and the line of its *last* one — found by
+    a forward and a backward pre-order scan that each stop at the first
+    mapped node — instead of a min/max over the whole subtree.  An
+    element that is itself a rendered leaf precedes its descendants in
+    document order, so it bounds ``lo`` but never ``hi``.
+    """
+    lo: Optional[int] = None
+    stack: List[Node] = [root]
+    while stack:
+        node = stack.pop()
+        found = leaf_line.get(id(node))
+        if found is not None:
+            lo = found
+            break
+        if isinstance(node, Element):
+            stack.extend(reversed(node.children))
+    if lo is None:
+        return None
+    hi: Optional[int] = None
+    back: List[Tuple[Node, bool]] = [(root, False)]
+    while back:
+        node, expanded = back.pop()
+        if not expanded and isinstance(node, Element) and node.children:
+            back.append((node, True))  # the element itself, after its subtree
+            back.extend((child, False) for child in node.children)
+            continue
+        found = leaf_line.get(id(node))
+        if found is not None:
+            hi = found
+            break
+    assert hi is not None  # the forward scan found a rendered leaf
+    return (lo, hi)
 
 
 def _ancestor_chain(node: Node) -> List[Element]:

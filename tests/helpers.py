@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+from repro.htmlmod.dom import Element
 from repro.htmlmod.parser import parse_html
 from repro.render.layout import render_page
 from repro.render.lines import RenderedPage
@@ -12,6 +13,18 @@ from repro.render.lines import RenderedPage
 def render(markup: str) -> RenderedPage:
     """Parse and render an HTML snippet."""
     return render_page(parse_html(markup))
+
+
+def all_leaf_line_range(
+    page: RenderedPage, element: Element
+) -> Optional[Tuple[int, int]]:
+    """An element's line span by brute force: min/max over its subtree
+    (the reference for ``RenderedPage.line_range_of_element``)."""
+    leaf_line = page.leaf_line_map()
+    numbers = [
+        leaf_line[id(node)] for node in element.iter() if id(node) in leaf_line
+    ]
+    return (min(numbers), max(numbers)) if numbers else None
 
 
 def simple_result_page(

@@ -335,6 +335,39 @@ class TestMissingPageFiles:
         self._assert_clean_failure(code, capsys.readouterr())
 
 
+class TestDeepNesting:
+    """Markup nested past the parser's budget exits 2 with one line."""
+
+    def _deep_page(self, tmp_path):
+        deep = tmp_path / "deep.html"
+        deep.write_text("<div>" * 5000 + "deep", encoding="utf-8")
+        return str(deep)
+
+    def _assert_clean_failure(self, code, captured):
+        assert code == 2
+        lines = [line for line in captured.err.splitlines() if line]
+        assert len(lines) == 1
+        assert "nests deeper" in lines[0]
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["extract", "check", "serve"])
+    def test_deep_page_exits_2(self, workspace, tmp_path, capsys, command):
+        main(["induce", "-o", workspace["wrapper"], *workspace["samples"]])
+        capsys.readouterr()
+        deep = self._deep_page(tmp_path)
+        code = main([command, "-w", workspace["wrapper"], deep])
+        self._assert_clean_failure(code, capsys.readouterr())
+
+    def test_induce_deep_sample_exits_2(self, workspace, tmp_path, capsys):
+        out = tmp_path / "w.json"
+        deep = self._deep_page(tmp_path)
+        code = main(
+            ["induce", "-o", str(out), workspace["samples"][0], f"{deep}:q"]
+        )
+        self._assert_clean_failure(code, capsys.readouterr())
+        assert not out.exists()
+
+
 class TestInducePipelineFlags:
     def test_jobs_and_checkpoint_resume_are_byte_identical(
         self, workspace, tmp_path, capsys

@@ -7,6 +7,7 @@ identity* with the naive formula implementations — these property tests
 are that claim, on randomized inputs.
 """
 
+import importlib
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,7 @@ from repro.algorithms.tree_edit import (
 from repro.core.mse import MSEConfig
 from repro.features.blocks import Block
 from repro.features.cohesion import record_diversity, section_cohesion
-from repro.features.config import DEFAULT_CONFIG, FeatureConfig
+from repro.features.config import DEFAULT_CONFIG
 from repro.features.line_distance import line_distance, text_attr_distance
 from repro.features.record_distance import (
     RecordDistanceCache,
@@ -45,9 +46,7 @@ from repro.perf import (
 )
 from repro.render.layout import render_page
 from repro.render.styles import TextAttr
-
-REFERENCE_CONFIG = FeatureConfig(fast_kernels=False)
-FAST_CONFIG = FeatureConfig(fast_kernels=True)
+from tests.helpers import all_leaf_line_range
 
 # -- strategies -------------------------------------------------------------
 
@@ -101,6 +100,43 @@ def random_block(draw, page):
     start = draw(st.integers(min_value=0, max_value=len(page.lines) - 1))
     end = draw(st.integers(min_value=start, max_value=len(page.lines) - 1))
     return Block(page, start, end)
+
+
+#: leaf fragments: text, inline markup, void elements, unrendered nodes
+_LEAF_FRAGMENTS = (
+    "word",
+    "<a href='/x'>link</a> tail",
+    "<b>bold</b>",
+    "<br>",
+    "<img src='i.gif'>",
+    "<hr>",
+    "<input value='go'>",
+    "<span style='display:none'>hidden</span>",
+    "<div></div>",
+)
+
+
+@st.composite
+def fragment(draw, depth=3):
+    """Markup nesting lists, tables, blocks and display:none subtrees."""
+    if depth == 0 or draw(st.booleans()):
+        return draw(st.sampled_from(_LEAF_FRAGMENTS))
+    kids = draw(st.lists(fragment(depth=depth - 1), min_size=1, max_size=3))
+    kind = draw(st.sampled_from(("ul", "table", "hidden", "div", "p")))
+    if kind == "ul":
+        return "<ul>" + "".join(f"<li>{kid}</li>" for kid in kids) + "</ul>"
+    if kind == "table":
+        cells = "".join(f"<td>{kid}</td>" for kid in kids)
+        return f"<table><tr>{cells}</tr><tr><td>next row</td></tr></table>"
+    if kind == "hidden":
+        return "<div style='display:none'>" + "".join(kids) + "</div>"
+    return f"<{kind}>" + "".join(kids) + f"</{kind}>"
+
+
+@st.composite
+def structured_page(draw):
+    body = "".join(draw(st.lists(fragment(), min_size=1, max_size=4)))
+    return render_page(parse_html(f"<html><body>{body}</body></html>"))
 
 
 # -- edit distance ----------------------------------------------------------
@@ -220,7 +256,6 @@ class TestPairMemo:
             "record_memo",
             "dinr_memo",
             "attr_interner",
-            "text_interner",
             "tuple_interner",
         ):
             assert name in stats
@@ -262,8 +297,8 @@ class TestFeatureFastPaths:
         page = data.draw(random_page())
         b1 = random_block(data.draw, page)
         b2 = random_block(data.draw, page)
-        fast = record_distance(b1, b2, FAST_CONFIG)
-        ref = _record_distance_reference(b1, b2, REFERENCE_CONFIG)
+        fast = record_distance(b1, b2)
+        ref = _record_distance_reference(b1, b2)
         assert fast == ref
 
     @settings(max_examples=30, deadline=None)
@@ -279,8 +314,8 @@ class TestFeatureFastPaths:
         page = data.draw(random_page())
         block = random_block(data.draw, page)
         twin = Block(page, block.start, block.end)
-        assert record_distance(block, twin, FAST_CONFIG) == 0.0
-        assert record_distance(block, twin, REFERENCE_CONFIG) == 0.0
+        assert record_distance(block, twin) == 0.0
+        assert _record_distance_reference(block, twin) == 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -335,6 +370,20 @@ class TestFeatureFastPaths:
                 assert element_tree_signature(node) == reference
 
     @settings(max_examples=60, deadline=None)
+    @given(st.one_of(random_page(), structured_page()))
+    def test_line_range_matches_all_leaf_reference(self, page):
+        """The cached two-search element spans == the subtree min/max.
+
+        ``line_range_of_element`` leans on the same document-order
+        invariant as ``span_forest``: it stops at the first and the last
+        rendered node of the subtree instead of visiting all of them.
+        """
+        for element in page.document.root.iter_elements():
+            expected = all_leaf_line_range(page, element)
+            assert page.line_range_of_element(element) == expected
+            assert page.line_range_of_element(element) == expected  # cached
+
+    @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_span_forest_matches_all_leaf_reference(self, data):
         """The two-chain span fast paths == the all-leaves reference.
@@ -373,12 +422,25 @@ class TestFeatureFastPaths:
 
 
 class TestEndToEnd:
-    def test_wrapper_induction_identical_with_fast_kernels(self):
+    def test_wrapper_induction_identical_with_fast_kernels(self, monkeypatch):
+        """Induction and extraction are unchanged when every Drec runs
+        through the reference kernels instead of the fingerprint path."""
         from repro.evalkit.harness import evaluate_engine
         from repro.testbed.corpus import load_engine_pages
 
+        # The package re-exports the function under the module's name.
+        record_distance_module = importlib.import_module(
+            "repro.features.record_distance"
+        )
+
         engine_pages = load_engine_pages(83)  # multi-section engine
-        fast = evaluate_engine(engine_pages, MSEConfig(features=FAST_CONFIG))
-        ref = evaluate_engine(engine_pages, MSEConfig(features=REFERENCE_CONFIG))
+        fast = evaluate_engine(engine_pages, MSEConfig())
+        clear_kernel_caches()
+        monkeypatch.setattr(
+            record_distance_module,
+            "record_distance",
+            _record_distance_reference,
+        )
+        ref = evaluate_engine(engine_pages, MSEConfig())
         assert fast.rows == ref.rows
         assert fast.failed == ref.failed

@@ -1,4 +1,4 @@
-"""Compiled serving path tests (automaton, page index, parity)."""
+"""Serving path tests (page index, serve == extract + check_wrapper)."""
 
 import json
 from dataclasses import asdict
@@ -7,19 +7,22 @@ import pytest
 
 from repro.core.mse import build_wrapper
 from repro.core.verify import _section_dinr_key, check_wrapper
-from repro.htmlmod.parser import parse_html
+from repro.htmlmod import MAX_NESTING_DEPTH, NestingDepthError, parse_html
 from repro.perf.kernels import DINR_MEMO, clear_kernel_caches
 from repro.perf.serve import (
     PageIndex,
-    TagPathAutomaton,
     build_page_index,
     compile_wrapper,
     extract_many,
 )
 from repro.render.layout import render_page
-from repro.core.wrapper import POSITION_SLACK
-from repro.tagpath.paths import MergedTagPath
-from tests.helpers import make_records, render, sample_pages, simple_result_page
+from tests.helpers import (
+    all_leaf_line_range,
+    make_records,
+    render,
+    sample_pages,
+    simple_result_page,
+)
 
 
 @pytest.fixture(scope="module")
@@ -72,50 +75,7 @@ def extraction_doc(extraction):
     return json.dumps(asdict(extraction), sort_keys=True)
 
 
-# -- the merged tagpath automaton -------------------------------------------
-
-
-class TestAutomaton:
-    def test_matches_find_with_slack(self, engine):
-        """One automaton run == per-pref find_with_slack, element-wise."""
-        automaton = TagPathAutomaton()
-        prefs = [w.pref for w in engine.wrappers]
-        entries = [automaton.add(pref, POSITION_SLACK) for pref in prefs]
-        for markup, _query in unseen_pages():
-            root = parse_html(markup).root
-            located = automaton.run(root)
-            for pref, entry in zip(prefs, entries):
-                exact, slacked = pref.find_with_slack(root, POSITION_SLACK)
-                got_exact, got_slacked = located[entry]
-                assert got_exact == exact
-                assert got_slacked == slacked
-
-    def test_matches_plain_find(self, engine):
-        automaton = TagPathAutomaton()
-        prefs = [w.pref for w in engine.wrappers]
-        entries = [automaton.add(pref, 0) for pref in prefs]
-        for markup, _query in unseen_pages():
-            root = parse_html(markup).root
-            located = automaton.run(root)
-            for pref, entry in zip(prefs, entries):
-                assert located[entry][0] == pref.find(root, 0)
-
-    def test_unmatched_root_yields_empty(self):
-        automaton = TagPathAutomaton()
-        entry = automaton.add(
-            MergedTagPath(("xyzzy",), (None,), ({0},)), 0
-        )
-        root = parse_html("<html><body><p>x</p></body></html>").root
-        assert automaton.run(root)[entry] == ([], [])
-
-    def test_len_counts_entries(self, engine):
-        automaton = TagPathAutomaton()
-        for wrapper in engine.wrappers:
-            automaton.add(wrapper.pref, 1)
-        assert len(automaton) == len(engine.wrappers)
-
-
-# -- the shared page index --------------------------------------------------
+# -- the page index handle --------------------------------------------------
 
 
 class TestPageIndex:
@@ -124,55 +84,19 @@ class TestPageIndex:
         return render(markup)
 
     def test_span_of_matches_line_range(self):
-        from repro.htmlmod.dom import Element
-
+        """Spans seen through an index are the page's element spans."""
         page = self.page()
         index = PageIndex(page)
-        for node in page.document.root.iter():
-            if isinstance(node, Element):
-                assert index.span_of(node) == page.line_range_of_element(node)
+        for node in page.document.root.iter_elements():
+            assert index.page.line_range_of_element(node) == (
+                all_leaf_line_range(page, node)
+            )
 
     def test_span_of_cached(self):
         page = self.page()
-        index = PageIndex(page)
         element = page.document.root
-        assert index.span_of(element) is index.span_of(element)
-
-    def test_first_occurrence_matches_linear_scan(self):
-        page = self.page()
-        index = PageIndex(page)
-        keys = [line.cleaned or line.text.lower() for line in page.lines]
-        distinct = sorted(set(keys))
-        probes = [
-            tuple(distinct[:3]),
-            tuple(distinct[-2:]),
-            ("not-on-the-page",),
-            tuple(distinct[::4]),
-        ]
-        spans = [(0, len(page.lines) - 1), (2, 5), (5, 2), (3, 3)]
-        for texts in probes:
-            ids = tuple(index.key_ids[keys.index(t)] if t in keys else -1
-                        for t in texts)
-            for lo, hi in spans:
-                reference = next(
-                    (
-                        number
-                        for number in range(lo, hi + 1)
-                        if keys[number] in texts
-                    ),
-                    None,
-                )
-                assert index.first_occurrence(ids, lo, hi) == reference
-
-    def test_attr_mask_matches_interner(self):
-        from repro.perf.fingerprints import ATTR_INTERNER
-
-        page = self.page()
-        index = PageIndex(page)
-        for line in page.lines:
-            assert index.attr_mask(line.number) == ATTR_INTERNER.mask(
-                line.attrs
-            )
+        first = PageIndex(page).page.line_range_of_element(element)
+        assert page.line_range_of_element(element) is first
 
 
 # -- compiled == interpreted parity -----------------------------------------
@@ -253,24 +177,74 @@ class TestExtractMany:
             extract_many(unseen_pages()[:2], [compiled], wrapper_of=[0])
 
 
-# -- interner generation guards ---------------------------------------------
+# -- process-wide caches -----------------------------------------------------
 
 
 class TestGenerationGuards:
-    def test_stale_index_rejected(self, compiled):
-        markup, query = unseen_pages()[0]
-        index = build_page_index(markup, query)
-        clear_kernel_caches()
-        with pytest.raises(ValueError, match="stale PageIndex"):
-            compiled.extract_index(index)
+    """Clearing the process-wide kernel caches never changes a result."""
 
     def test_compiled_wrapper_self_heals_after_clear(self, engine, compiled):
         markup, query = unseen_pages()[0]
-        before = extraction_doc(compiled.extract(markup, query))
+        before = compiled.serve(markup, query)
         clear_kernel_caches()
-        after = extraction_doc(compiled.extract(markup, query))
-        assert before == after
-        assert extraction_doc(engine.extract(markup, query)) == after
+        after = compiled.serve(markup, query)
+        assert after == before
+        assert extraction_doc(engine.extract(markup, query)) == (
+            extraction_doc(after.extraction)
+        )
+
+
+# -- the parser's nesting budget ----------------------------------------------
+
+
+def nest(markup, levels):
+    """``markup`` with its body content wrapped in ``levels`` divs."""
+    return markup.replace("<body>", "<body>" + "<div>" * levels, 1).replace(
+        "</body>", "</div>" * levels + "</body>", 1
+    )
+
+
+class TestNestingBudget:
+    # simple_result_page nests html > body > ul > li > a: wrapping the
+    # body content in this many divs puts its <a> at the budget exactly.
+    AT_BUDGET = MAX_NESTING_DEPTH - 5
+
+    def test_pages_at_the_budget_induce_and_serve(self):
+        pages = [
+            (nest(markup, self.AT_BUDGET), query)
+            for markup, query in sample_pages(
+                ("apple", "banana", "cherry"), [("Web", 4), ("News", 3)]
+            )
+        ]
+        document = parse_html(pages[0][0])
+        assert max(
+            len(list(element.ancestors())) + 1
+            for element in document.root.iter_elements()
+        ) == MAX_NESTING_DEPTH
+        assert render_page(document).lines
+        engine = build_wrapper(pages)
+        markup, query = pages[0]
+        served = compile_wrapper(engine).serve(markup, query)
+        assert len(served.extraction.sections) == 2
+        assert extraction_doc(served.extraction) == extraction_doc(
+            engine.extract(markup, query)
+        )
+
+    def test_one_level_past_the_budget_raises_typed_error(self, engine):
+        markup, query = unseen_pages()[0]
+        too_deep = nest(markup, self.AT_BUDGET + 1)
+        attempts = [
+            lambda page: parse_html(page),
+            lambda page: build_wrapper([(page, query), (page, query)]),
+            lambda page: engine.extract(page, query),
+            lambda page: check_wrapper(engine, page, query),
+            lambda page: compile_wrapper(engine).serve(page, query),
+        ]
+        for page in (too_deep, "<div>" * 5000):
+            for attempt in attempts:
+                with pytest.raises(NestingDepthError):
+                    attempt(page)
+        assert issubclass(NestingDepthError, ValueError)
 
 
 # -- the section-homogeneity memo key ---------------------------------------
