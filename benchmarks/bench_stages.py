@@ -9,9 +9,9 @@ that moved — render, mre, dse, refine, mine, granularity, grouping,
 wrapper or families.
 
 The second bench covers the ``repro.pipeline`` execution layer itself:
-checkpoint write/read overhead and ``jobs=N`` fan-out scaling, written
-to ``BENCH_pipeline.json`` (and every variant's wrapper is asserted
-byte-identical to the serial one — the layer's load-bearing invariant).
+checkpoint write/read overhead, written to ``BENCH_pipeline.json`` (and
+the checkpointed and resumed wrappers are asserted byte-identical to
+the fresh one — the layer's load-bearing invariant).
 
 Set ``REPRO_BENCH_STATS`` / ``REPRO_BENCH_PIPELINE`` to override the
 output paths.
@@ -70,21 +70,19 @@ def _timed_induction(samples, **kwargs):
 
 
 def test_pipeline_bench_emitted(tmp_path):
-    """Checkpoint write/read overhead and jobs=N scaling → BENCH_pipeline.json."""
-    report = {"format": "repro-bench-pipeline", "version": 1, "engines": {}}
+    """Checkpoint write/read overhead → BENCH_pipeline.json."""
+    report = {"format": "repro-bench-pipeline", "version": 2, "engines": {}}
     for engine_id in PIPELINE_ENGINES:
         samples = load_engine_pages(engine_id).sample_set
         ck = tmp_path / f"ck-{engine_id}"
 
         serial, serial_s = _timed_induction(samples)
-        jobs2, jobs2_s = _timed_induction(samples, jobs=2)
         cold, cold_s = _timed_induction(samples, checkpoint_dir=str(ck))
         warm, warm_s = _timed_induction(
             samples, checkpoint_dir=str(ck), resume=True
         )
 
         # The layer's invariant: every variant is byte-identical.
-        assert jobs2 == serial, f"jobs=2 wrapper differs (engine {engine_id})"
         assert cold == serial, f"checkpointed wrapper differs (engine {engine_id})"
         assert warm == serial, f"resumed wrapper differs (engine {engine_id})"
 
@@ -94,7 +92,6 @@ def test_pipeline_bench_emitted(tmp_path):
         report["engines"][str(engine_id)] = {
             "pages": len(samples),
             "serial_seconds": serial_s,
-            "jobs2_seconds": jobs2_s,
             "checkpoint_cold_seconds": cold_s,
             "checkpoint_write_overhead_seconds": cold_s - serial_s,
             "resume_seconds": warm_s,
@@ -108,7 +105,6 @@ def test_pipeline_bench_emitted(tmp_path):
     for engine_id, row in report["engines"].items():
         print(
             f"  engine {engine_id}: serial {row['serial_seconds'] * 1000:.0f}ms"
-            f"  jobs2 {row['jobs2_seconds'] * 1000:.0f}ms"
             f"  ckpt-cold {row['checkpoint_cold_seconds'] * 1000:.0f}ms"
             f"  resume {row['resume_seconds'] * 1000:.0f}ms"
             f"  store {row['checkpoint_bytes']}B"

@@ -1,7 +1,7 @@
 """Command-line interface.
 
     python -m repro induce  -o wrapper.json page1.html:query1 page2.html:query2 ...
-                    [--jobs N] [--checkpoint-dir DIR] [--resume]
+                    [--checkpoint-dir DIR] [--resume]
     python -m repro extract -w wrapper.json page1.html[:q1] [page2.html[:q2] ...]
                     [--query "..."] [--json]
     python -m repro serve   -w wrapper.json [-w more.json ...] --pages page1.html[:q1] ...
@@ -33,11 +33,11 @@ sample pages and detection latency is reported against ground truth.
 ``demo`` runs a full induce-and-extract round trip against one
 synthetic engine.
 
-``induce --jobs N`` fans the per-page pipeline stages out over worker
-processes; ``--checkpoint-dir DIR`` persists every stage's artifacts as
-JSON, and ``--resume`` reuses them on a later run, recomputing only
-missing stages and their dependents (see ``repro.pipeline``).  All
-variants produce byte-identical wrapper JSON.
+``induce`` runs in one process; ``--checkpoint-dir DIR`` persists every
+stage's artifacts as JSON, and ``--resume`` reuses them on a later run,
+recomputing only missing stages and their dependents (see
+``repro.pipeline``).  Fresh and resumed runs produce byte-identical
+wrapper JSON.
 
 ``induce``, ``extract``, ``check`` and ``eval`` accept ``--trace FILE``
 (write a JSONL pipeline trace: one span per stage with wall time and
@@ -124,7 +124,6 @@ def cmd_induce(args) -> int:
     wrapper = build_wrapper(
         samples,
         obs=obs,
-        jobs=args.jobs,
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
     )
@@ -363,7 +362,6 @@ def cmd_monitor(args) -> int:
         ph_lambda=args.ph_lambda,
         heal=args.heal,
         checkpoint_dir=args.checkpoint_dir,
-        jobs=args.jobs,
     )
 
     truth = None
@@ -516,10 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_induce.add_argument("pages", nargs="+", help="page.html[:query terms]")
     p_induce.add_argument("-o", "--output", required=True, help="wrapper JSON path")
     p_induce.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for per-page pipeline stages (1 = serial)",
-    )
-    p_induce.add_argument(
         "--checkpoint-dir", metavar="DIR", default=None,
         help="persist per-stage artifacts to DIR (JSON checkpoints)",
     )
@@ -644,10 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_monitor.add_argument(
         "--checkpoint-dir", metavar="DIR", default=None,
         help="checkpoint directory for resumable re-induction",
-    )
-    p_monitor.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for re-induction (1 = serial)",
     )
     p_monitor.add_argument(
         "--testbed", type=int, metavar="ID", default=None,

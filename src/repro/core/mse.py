@@ -10,17 +10,13 @@ dynamic sections and their records from any result page of that engine.
 
 Since the staged refactor, this class is a façade over
 :mod:`repro.pipeline`: the steps are :class:`~repro.pipeline.Stage`
-objects executed by a :class:`~repro.pipeline.PipelineRunner` on one
-:class:`~repro.pipeline.InductionContext`.  That buys, with no API
-change here:
-
-- ``jobs=N`` — per-page stages (MRE, refinement, mining, granularity)
-  fan out over a process pool; cross-page barriers (DSE, grouping,
-  wrapper construction, families) stay serial.  Wrappers are
-  bit-identical to a serial run.
-- ``checkpoint_dir=...`` / ``resume=True`` — every stage's artifacts are
-  persisted as JSON and a resumed run recomputes only missing stages
-  (and their dependents), including after adding sample pages.
+objects executed in this process by a
+:class:`~repro.pipeline.PipelineRunner` on one
+:class:`~repro.pipeline.InductionContext`.  With ``checkpoint_dir=...``
+/ ``resume=True`` every stage's artifacts are persisted as JSON and a
+resumed run recomputes only missing stages (and their dependents),
+including after adding sample pages; wrappers are bit-identical to a
+fresh run.
 
 Each stage runs in an observability span (``render``, ``mre``, ``dse``,
 ``refine``, ``mine``, ``granularity``, ``grouping``, ``wrapper``,
@@ -63,13 +59,11 @@ class MSE:
         self,
         config: Optional[MSEConfig] = None,
         obs: ObserverLike = NULL_OBSERVER,
-        jobs: int = 1,
         checkpoint_dir: Optional[str] = None,
         resume: bool = False,
     ) -> None:
         self.config = config or MSEConfig()
         self.obs = obs if obs is not None else NULL_OBSERVER
-        self.jobs = max(1, jobs)
         self.checkpoint_dir = checkpoint_dir
         self.resume = resume
 
@@ -98,7 +92,7 @@ class MSE:
                 store = ArtifactStore.open(
                     self.checkpoint_dir, self.config, ids, resume=self.resume
                 )
-        runner = PipelineRunner(jobs=self.jobs, store=store)
+        runner = PipelineRunner(store=store)
         runner.run(ctx, induction_stages(self.select_sections))
         self._observe_run(ctx)
         engine: EngineWrapper = ctx.engine
@@ -112,8 +106,8 @@ class MSE:
 
         Runs stage-by-stage over all pages (rather than page-by-page over
         all stages) so each stage owns exactly one span and its counters.
-        Works over pre-rendered pages, so it always runs serially and
-        without checkpoints (those need the sample HTML for identity).
+        Works over pre-rendered pages, so it runs without checkpoints
+        (those need the sample HTML for identity).
         """
         from repro.pipeline import PipelineRunner, analysis_stages
 
@@ -123,7 +117,7 @@ class MSE:
             self.config,
             self.obs,
         )
-        PipelineRunner(jobs=1).run(ctx, analysis_stages())
+        PipelineRunner().run(ctx, analysis_stages())
         self._observe_run(ctx)
         return self.select_sections(ctx.sections_per_page)
 
@@ -189,15 +183,10 @@ def build_wrapper(
     samples: Sequence[SampleInput],
     config: Optional[MSEConfig] = None,
     obs: ObserverLike = NULL_OBSERVER,
-    jobs: int = 1,
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
 ) -> EngineWrapper:
     """Convenience one-shot wrapper induction (see :class:`MSE`)."""
     return MSE(
-        config,
-        obs=obs,
-        jobs=jobs,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
+        config, obs=obs, checkpoint_dir=checkpoint_dir, resume=resume
     ).build_wrapper(samples)

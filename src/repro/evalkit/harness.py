@@ -14,7 +14,8 @@ Run from the command line::
 
 Engines are independent workloads, so ``--jobs N`` fans the corpus out
 over a process pool; results are merged back in engine-id order, which
-keeps every table bit-identical to a serial run.
+keeps every table bit-identical to a serial run.  Within an engine,
+induction runs in one process.
 """
 
 from __future__ import annotations
@@ -76,16 +77,12 @@ def evaluate_engine(
     engine_pages: EnginePages,
     config: Optional[MSEConfig] = None,
     obs: ObserverLike = NULL_OBSERVER,
-    build_jobs: int = 1,
 ) -> EngineResult:
     """Build a wrapper from the sample pages and grade all ten pages.
 
     Induction goes through the staged :class:`repro.pipeline.PipelineRunner`
-    (via :class:`MSE`); ``build_jobs > 1`` fans the per-page stages of
-    *one* engine's induction out over worker processes — useful when
-    evaluating few engines with many sample pages (the engine-level
-    ``jobs`` of :func:`run_evaluation` parallelizes across engines and
-    is the better lever for full-corpus runs; the two cannot nest).
+    (via :class:`MSE`) in this process; the engine-level ``jobs`` of
+    :func:`run_evaluation` is what parallelizes a corpus run.
 
     ``obs`` is an optional :class:`repro.obs.Observer`; spans aggregate
     across engines, so one observer threaded through a whole run yields
@@ -93,7 +90,7 @@ def evaluate_engine(
     regressed?" attribution for benchmark trajectories).
     """
     rows = EvalRows()
-    mse = MSE(config, obs=obs, jobs=build_jobs)
+    mse = MSE(config, obs=obs)
     metadata = _engine_metadata(engine_pages)
 
     start = time.perf_counter()
@@ -305,17 +302,13 @@ def run_evaluation(
     progress: bool = False,
     obs: ObserverLike = NULL_OBSERVER,
     jobs: int = 1,
-    build_jobs: int = 1,
 ) -> EvaluationRun:
     """Evaluate MSE over (a subset of) the corpus.
 
     With ``jobs > 1`` the engines fan out over a process pool.  Results
     are re-ordered by engine id before merging, so the aggregate rows —
     and hence Tables 1–3 — are identical to a serial run; per-worker
-    observer stats are folded into ``obs`` the same way.  ``build_jobs``
-    instead parallelizes *within* each induction (the pipeline runner's
-    per-page fan-out) and only applies to the serial engine loop —
-    pool workers are daemonic and cannot nest a second pool.
+    observer stats are folded into ``obs`` the same way.
     """
     run = EvaluationRun()
     if jobs > 1:
@@ -338,7 +331,7 @@ def run_evaluation(
         return run
 
     for engine_pages in iter_corpus(subset, limit=limit):
-        result = evaluate_engine(engine_pages, config, obs=obs, build_jobs=build_jobs)
+        result = evaluate_engine(engine_pages, config, obs=obs)
         run.engines.append(result)
         run.rows.merge(result.rows)
         if progress:
@@ -367,13 +360,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="worker processes for the evaluation (1 = serial)",
     )
     parser.add_argument(
-        "--build-jobs",
-        type=int,
-        default=1,
-        help="worker processes inside each wrapper induction (pipeline "
-        "per-page fan-out; serial engine loop only)",
-    )
-    parser.add_argument(
         "--breakdown",
         choices=["template", "style", "sections", "junk"],
         default=None,
@@ -399,13 +385,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     obs = Observer() if (args.trace or args.stats) else NULL_OBSERVER
 
     run_all = run_evaluation(
-        "all", args.limit, progress=args.progress, obs=obs, jobs=args.jobs,
-        build_jobs=args.build_jobs,
+        "all", args.limit, progress=args.progress, obs=obs, jobs=args.jobs
     )
     if "2" in want and args.limit is None:
         run_multi = run_evaluation(
-            "multi", None, progress=args.progress, obs=obs, jobs=args.jobs,
-            build_jobs=args.build_jobs,
+            "multi", None, progress=args.progress, obs=obs, jobs=args.jobs
         )
     else:
         # With a limit, derive the multi-section subset from the same run.

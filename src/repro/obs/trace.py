@@ -247,8 +247,8 @@ class Observer:
         Span dicts graft onto this observer's tree under their
         ``parent`` path (calls and seconds add, counters add); metrics
         merge via :meth:`MetricsRegistry.merge_snapshot`.  This is how
-        the parallel harnesses — the evaluation pool and the pipeline
-        runner's page fan-out — combine per-worker observers into one
+        the process pools — the evaluation harness and the serving
+        ``Server`` — combine per-worker observers into one
         aggregate trace: a caller may rewrite ``parent`` before merging
         to nest a worker's top-level spans under a host span.
 

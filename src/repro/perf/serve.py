@@ -176,7 +176,7 @@ def extract_many(
     (asserted corpus-wide in the serve tests).
 
     ``jobs <= 1`` (or a single page) runs the in-process loop and never
-    touches ``multiprocessing``.  Larger ``jobs`` delegate to a
+    starts a worker process.  Larger ``jobs`` delegate to a
     temporary :class:`repro.perf.server.Server` — a compatibility shim
     for one-shot callers.  The pool is torn down on return, so its
     workers start cold; a caller serving repeated batches should hold a

@@ -75,6 +75,7 @@ from typing import (
 
 from repro.core.model import PageExtraction
 from repro.core.wrapper import EngineWrapper
+from repro.htmlmod import NestingDepthError
 from repro.obs import NULL_OBSERVER, Observer, ObserverLike
 from repro.perf.kernels import kernel_cache_stats
 from repro.perf.serve import (
@@ -139,10 +140,15 @@ def _prime_worker(
     ``extract_index`` (extraction *and* the DINR/health kernels), so
     priming through it warms every memo a later batch can hit.  The
     served results are discarded — only the cache side effects matter.
+    A page nested too deep to parse primes nothing and is not counted;
+    serving it later raises its :class:`NestingDepthError` as usual.
     """
     primed = 0
     for markup, query, wrapper_ids in prime_tasks:
-        index = build_page_index(markup, query, obs=obs)
+        try:
+            index = build_page_index(markup, query, obs=obs)
+        except NestingDepthError:
+            continue
         for wrapper_id in wrapper_ids:
             compiled[wrapper_id].serve_index(index, obs=obs)
         primed += 1
@@ -193,8 +199,10 @@ def _worker_main(
     - ``("done", worker_id, epoch, chunk_id, payload)`` per completed
       chunk — ``epoch`` echoes the batch that dispatched it, so the
       parent can discard chunks from a batch aborted by an error;
-    - ``("error", worker_id, epoch, chunk_id, formatted_traceback)``
-      when a chunk raises — the worker stays alive for the next chunk;
+    - ``("error", worker_id, epoch, chunk_id, formatted_traceback,
+      nesting_message)`` when a chunk raises — ``nesting_message`` is the
+      one-line message of a :class:`NestingDepthError`, else ``None``;
+      the worker stays alive for the next chunk;
     - ``("stats", worker_id, stats_doc, kernel_stats)`` in response to
       the ``None`` shutdown sentinel, after which the worker exits.
     """
@@ -216,10 +224,10 @@ def _worker_main(
         epoch, chunk_id, mode, chunk = message
         try:
             payload = _run_chunk(compiled, mode, chunk, obs)
-        except Exception:
-            results.put(
-                ("error", worker_id, epoch, chunk_id, traceback.format_exc())
-            )
+        except Exception as exc:
+            nesting = str(exc) if isinstance(exc, NestingDepthError) else None
+            trace = traceback.format_exc()
+            results.put(("error", worker_id, epoch, chunk_id, trace, nesting))
             continue
         results.put(("done", worker_id, epoch, chunk_id, payload))
 
@@ -355,6 +363,7 @@ class Server:
             for worker_id, proc in self._workers.items()
             if proc.is_alive()
         }
+        exited: Set[int] = set()
         stalled = 0
         while waiting:
             message = self._poll()
@@ -362,10 +371,15 @@ class Server:
                 stalled += 1
                 if stalled >= _STALL_POLLS:
                     break  # wedged workers: the join/terminate below cleans up
-                for worker_id in sorted(waiting):
-                    proc = self._workers.get(worker_id)
-                    if proc is None or not proc.is_alive():
-                        waiting.discard(worker_id)
+                # A worker that had exited before this empty poll has
+                # nothing left in flight; one that exited since may still
+                # have its stats in the pipe, so it gets one more poll.
+                waiting -= exited
+                exited = {
+                    worker_id
+                    for worker_id in waiting
+                    if not self._workers[worker_id].is_alive()
+                }
                 continue
             stalled = 0
             if message[0] == "stats":
@@ -655,10 +669,15 @@ class Server:
                     self._busy.pop(message[1], None)
                     if message[2] != self._epoch:
                         continue  # failure of an already-aborted batch
-                    raise RuntimeError(
+                    failure = RuntimeError(
                         f"server worker {message[1]} failed on chunk "
                         f"{message[3]}:\n{message[4]}"
                     )
+                    # A too-deep page is the caller's input error: keep
+                    # its type, with the worker traceback as the cause.
+                    if message[5] is not None:
+                        raise NestingDepthError(message[5]) from failure
+                    raise failure
                 elif kind == "primed":
                     self._on_primed(message[1], message[2], message[3])
             obs.count("serve.pages", len(self._slots))

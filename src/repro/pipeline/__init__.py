@@ -1,4 +1,4 @@
-"""The staged induction pipeline (checkpoint/resume + parallel pages).
+"""The staged induction pipeline (checkpoint/resume).
 
 This package turns wrapper induction into explicit, typed stages over
 one shared :class:`InductionContext`:
@@ -7,11 +7,11 @@ one shared :class:`InductionContext`:
 - :mod:`repro.pipeline.stages` — the Stage protocol, the nine concrete
   stages and the per-page artifact codecs;
 - :mod:`repro.pipeline.artifacts` — the on-disk checkpoint store;
-- :mod:`repro.pipeline.runner` — serial/parallel execution with
-  checkpoint resume and freshness propagation.
+- :mod:`repro.pipeline.runner` — in-process execution with checkpoint
+  resume and freshness propagation.
 
 :class:`repro.core.mse.MSE` is a thin façade over this package; the CLI
-exposes the knobs as ``induce --jobs N --checkpoint-dir DIR --resume``.
+exposes the knobs as ``induce --checkpoint-dir DIR --resume``.
 """
 
 from repro.pipeline.artifacts import ArtifactStore, config_key, pages_key

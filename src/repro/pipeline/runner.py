@@ -1,13 +1,12 @@
-"""The pipeline runner: executes stages with checkpoints and fan-out.
+"""The pipeline runner: executes stages in one process, with checkpoints.
 
 The runner walks an ordered stage list (:func:`repro.pipeline.stages
 .induction_stages`) over one :class:`InductionContext`:
 
-- consecutive *page* stages form a group; with ``jobs > 1`` the group
-  fans its pages out over a process pool (each worker deterministically
-  re-renders its page, runs the group's stage chain and ships encoded
-  artifacts plus its observer stats back);
-- *barrier* stages always run serially in the parent.
+- consecutive checkpointed *page* stages form a group whose per-page
+  chains resume together (the never-checkpointed render stage is a
+  group of its own); each stage runs over every page inside one span;
+- *barrier* stages run once over all pages.
 
 With an :class:`~repro.pipeline.artifacts.ArtifactStore` attached, every
 checkpointed stage's outputs are persisted and a resumed run loads them
@@ -20,74 +19,28 @@ grown sample set sound (the DSE barrier re-runs, so everything past it
 recomputes while per-page MRE artifacts are reused).
 
 Stages are pure over rendering (no wall-clock, no randomness, no
-iteration-order dependence — enforced by ``repro.analysis``), so serial,
-parallel and resumed runs produce bit-identical wrappers.
+iteration-order dependence — enforced by ``repro.analysis``), so fresh
+and resumed runs produce bit-identical wrappers.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from contextlib import contextmanager
-
-from repro.core.dse import clean_page_lines
-from repro.core.mse_config import MSEConfig
 from repro.features.record_distance import RecordDistanceCache
-from repro.htmlmod.parser import parse_html
-from repro.obs import NULL_OBSERVER, Observer
 from repro.pipeline.artifacts import ArtifactStore
 from repro.pipeline.context import InductionContext
 from repro.pipeline.stages import (
-    PAGE_STAGES,
     BarrierStage,
     PageStage,
     Stage,
     decode_artifact,
     encode_artifact,
 )
-from repro.render.layout import render_page
 
 #: freshness mark meaning "every page" (barrier-scope artifacts)
 _ALL = -1
-
-#: one fan-out task: (page index, markup, query, stage names, encoded
-#: inputs, config, parent-observer-enabled)
-_WorkerTask = Tuple[int, str, str, Tuple[str, ...], Dict[str, Any], MSEConfig, bool]
-#: one fan-out result: (page index, encoded outputs, observer stats)
-_WorkerResult = Tuple[int, Dict[str, Any], Optional[Dict[str, Any]]]
-
-
-def _page_worker(task: _WorkerTask) -> _WorkerResult:
-    """Run a chain of page stages for one page inside a pool worker.
-
-    Top-level (multiprocessing pickles it).  The worker re-renders the
-    page from its HTML — rendering is deterministic, so the decoded
-    input artifacts attach to the same lines as in the parent — runs the
-    requested stages and returns their encoded outputs together with the
-    worker observer's stats document (merged into the parent observer).
-    """
-    index, markup, query, stage_names, encoded_inputs, config, observed = task
-    obs = Observer() if observed else NULL_OBSERVER
-    ctx = InductionContext(samples=[(markup, query)], config=config, obs=obs)
-    page = render_page(parse_html(markup))
-    ctx.artifacts["page"] = [page]
-    ctx.caches = [RecordDistanceCache(config.features)]
-    if "dss" in encoded_inputs or "csbms" in encoded_inputs:
-        # Post-DSE stages read the cleaned line texts DSE fills in.
-        clean_page_lines(page, query.split())
-    for name, encoded in encoded_inputs.items():
-        ctx.artifacts[name] = [decode_artifact(name, encoded, page)]
-
-    outputs: Dict[str, Any] = {}
-    for stage_name in stage_names:
-        stage = PAGE_STAGES[stage_name]()
-        with _booked_span(ctx, stage):
-            produced = stage.run_page(ctx, 0)
-        for name, value in produced.items():
-            ctx.set_page_value(name, 0, value)
-            outputs[name] = encode_artifact(name, value)
-    return index, outputs, (obs.stats() if observed else None)
 
 
 @contextmanager
@@ -123,7 +76,12 @@ class PipelineRunner:
     def __init__(
         self, jobs: int = 1, store: Optional[ArtifactStore] = None
     ) -> None:
-        self.jobs = max(1, jobs)
+        # Induction always runs in one process; ``jobs`` survives only
+        # for callers that pass ``jobs=1`` (perfbench/child.py).
+        if jobs != 1:
+            raise ValueError(
+                f"PipelineRunner runs in one process; got jobs={jobs}"
+            )
         self.store = store
         #: artifact name -> page indices recomputed this run (_ALL = all)
         self._fresh: Dict[str, Set[int]] = {}
@@ -225,23 +183,28 @@ class PipelineRunner:
                             decode_artifact(name, encoded[name], ctx.pages[index]),
                         )
 
-        pending = [index for index in range(ctx.page_count) if starts[index] < len(group)]
-        fanout = (
-            self.jobs > 1
-            and len(pending) > 1
-            and all(stage.fanout for stage in group)
-            and all(markup for markup, _ in ctx.samples)
-        )
+        # Run the rest: one span per stage, pages inside (the monolith's
+        # trace shape).
         computed: Dict[str, Dict[int, Dict[str, Any]]] = {
             stage.name: {} for stage in group
         }
-        if fanout:
-            self._run_group_parallel(ctx, group, starts, pending, computed)
-        else:
-            self._run_group_serial(ctx, group, starts, computed)
+        for position, stage in enumerate(group):
+            indices = [i for i in range(ctx.page_count) if starts[i] <= position]
+            if not indices:
+                continue
+            with _booked_span(ctx, stage):
+                for index in indices:
+                    produced = stage.run_page(ctx, index)
+                    for name, value in produced.items():
+                        ctx.set_page_value(name, index, value)
+                    if store is not None and stage.checkpointed:
+                        computed[stage.name][index] = {
+                            name: encode_artifact(name, value)
+                            for name, value in produced.items()
+                        }
 
-        for index in pending:
-            for stage in group[starts[index]:]:
+        for index, start in enumerate(starts):
+            for stage in group[start:]:
                 for name in stage.provides:
                     if name != "page":
                         self._mark_fresh(name, index)
@@ -257,91 +220,6 @@ class PipelineRunner:
                 if encoded_pages:
                     store.save_pages(stage.name, encoded_pages)
 
-    def _run_group_serial(
-        self,
-        ctx: InductionContext,
-        group: List[PageStage],
-        starts: List[int],
-        computed: Dict[str, Dict[int, Dict[str, Any]]],
-    ) -> None:
-        """One span per stage, pages inside — the monolith's trace shape."""
-        want_encoding = self.store is not None
-        for position, stage in enumerate(group):
-            indices = [i for i in range(ctx.page_count) if starts[i] <= position]
-            if not indices:
-                continue
-            with _booked_span(ctx, stage):
-                for index in indices:
-                    produced = stage.run_page(ctx, index)
-                    for name, value in produced.items():
-                        ctx.set_page_value(name, index, value)
-                    if want_encoding and stage.checkpointed:
-                        computed[stage.name][index] = {
-                            name: encode_artifact(name, value)
-                            for name, value in produced.items()
-                        }
-
-    def _run_group_parallel(
-        self,
-        ctx: InductionContext,
-        group: List[PageStage],
-        starts: List[int],
-        pending: List[int],
-        computed: Dict[str, Dict[int, Dict[str, Any]]],
-    ) -> None:
-        """Fan pending pages out over a process pool.
-
-        Workers return *encoded* artifacts; the parent decodes them
-        against its own rendered pages, so downstream barrier stages see
-        exactly what a serial run would have produced (the codecs are
-        lossless over line spans).  Worker observer stats merge into the
-        parent observer by span path, keeping one aggregate trace.
-        """
-        provides_at: Dict[int, Tuple[str, ...]] = {}
-        tasks: List[_WorkerTask] = []
-        for index in pending:
-            chain = group[starts[index]:]
-            names = tuple(stage.name for stage in chain)
-            produced_names = {name for stage in chain for name in stage.provides}
-            required = [
-                name
-                for stage in chain
-                for name in stage.requires
-                if name != "page" and name not in produced_names
-            ]
-            inputs = {
-                name: encode_artifact(name, ctx.artifacts[name][index])
-                for name in dict.fromkeys(required)
-            }
-            markup, query = ctx.samples[index]
-            tasks.append(
-                (index, markup, query, names, inputs, ctx.config, ctx.obs.enabled)
-            )
-            provides_at[index] = tuple(sorted(produced_names))
-
-        collected: List[_WorkerResult] = []
-        with multiprocessing.Pool(processes=min(self.jobs, len(tasks))) as pool:
-            for result in pool.imap_unordered(_page_worker, tasks):
-                collected.append(result)
-        collected.sort(key=lambda item: item[0])
-
-        stage_of: Dict[str, str] = {
-            name: stage.name for stage in group for name in stage.provides
-        }
-        checkpointed = {stage.name for stage in group if stage.checkpointed}
-        for index, outputs, stats in collected:
-            page = ctx.pages[index]
-            for name in provides_at[index]:
-                encoded = outputs[name]
-                ctx.set_page_value(name, index, decode_artifact(name, encoded, page))
-                owner = stage_of[name]
-                if owner in checkpointed:
-                    computed[owner].setdefault(index, {})[name] = encoded
-            if stats is not None:
-                merge = getattr(ctx.obs, "merge_stats", None)
-                if merge is not None:
-                    merge(stats)
-
     # -- helpers --------------------------------------------------------
     def _ensure_caches(self, ctx: InductionContext) -> None:
         """Per-page record-distance caches, once pages exist."""
@@ -352,11 +230,12 @@ class PipelineRunner:
 
 
 def _grouped(stages: Sequence[Stage]) -> Iterator[List[Stage]]:
-    """Split the stage list into fan-out units.
+    """Split the stage list into resume units.
 
-    Consecutive page stages with the same ``fanout`` flag form one
-    group (their chains ship to a worker together, saving one re-render
-    per stage); every barrier stage is its own group.
+    Consecutive page stages with the same ``checkpointed`` flag form one
+    group (a page's chain resumes from its first stage that must run);
+    every barrier stage is its own group.  Keeping the never-checkpointed
+    render stage apart stops it from forcing the stages after it to re-run.
     """
     group: List[Stage] = []
     for stage in stages:
@@ -364,7 +243,7 @@ def _grouped(stages: Sequence[Stage]) -> Iterator[List[Stage]]:
             not group
             or (
                 isinstance(group[-1], PageStage)
-                and group[-1].fanout == stage.fanout
+                and group[-1].checkpointed == stage.checkpointed
             )
         ):
             group.append(stage)

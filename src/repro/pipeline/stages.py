@@ -2,11 +2,9 @@
 
 Each paper step (§3, steps 1-9) is a :class:`Stage` with declared
 ``requires``/``provides`` artifact names.  *Page* stages run
-independently per sample page — the runner may fan them out over worker
-processes and checkpoint their per-page outputs.  *Barrier* stages need
-every page's artifacts at once (DSE's cross-page voting, instance
-grouping, wrapper construction, families) and always run serially in
-the parent process.
+independently per sample page, and the runner checkpoints their per-page
+outputs.  *Barrier* stages need every page's artifacts at once (DSE's
+cross-page voting, instance grouping, wrapper construction, families).
 
 Stage graph::
 
@@ -19,7 +17,7 @@ Stage graph::
 Per-page artifacts are encoded/decoded with the span codecs of
 :mod:`repro.core.serialize`; rendering is deterministic, so spans
 re-attach to a re-rendered page bit-identically — the invariant behind
-both process fan-out and checkpoint resume.
+checkpoint resume.
 """
 
 from __future__ import annotations
@@ -73,7 +71,7 @@ class Stage:
 
     #: stage name; also the span name and the checkpoint file stem
     name: ClassVar[str]
-    #: ``PAGE`` (independent per page, fan-out-able) or ``BARRIER``
+    #: ``PAGE`` (independent per page) or ``BARRIER`` (all pages at once)
     scope: ClassVar[str]
     #: artifact names this stage reads
     requires: ClassVar[Tuple[str, ...]] = ()
@@ -89,8 +87,6 @@ class PageStage(Stage):
     """A stage that runs once per sample page, independently."""
 
     scope = PAGE
-    #: page stages may be fanned out unless their output is process-bound
-    fanout: ClassVar[bool] = True
 
     def run_page(self, ctx: InductionContext, index: int) -> Dict[str, Any]:
         """Produce this stage's artifacts for page ``index``."""
@@ -98,7 +94,7 @@ class PageStage(Stage):
 
 
 class BarrierStage(Stage):
-    """A stage that needs all pages' artifacts at once (runs serially)."""
+    """A stage that needs all pages' artifacts at once."""
 
     scope = BARRIER
 
@@ -118,7 +114,7 @@ class BarrierStage(Stage):
 # -- per-page artifact codecs ----------------------------------------------
 #
 # Page-scope artifacts are encoded per value; the runner and the store
-# never need stage-specific logic to persist or ship them.
+# never need stage-specific logic to persist them.
 
 _Encoder = Callable[[Any], Any]
 _Decoder = Callable[[Any, RenderedPage], Any]
@@ -185,7 +181,6 @@ class RenderStage(PageStage):
     name = "render"
     provides = ("page",)
     checkpointed = False
-    fanout = False  # output is process-bound (live DOM)
 
     def run_page(self, ctx: InductionContext, index: int) -> Dict[str, Any]:
         from repro.htmlmod.parser import parse_html
@@ -469,16 +464,6 @@ class FamiliesStage(BarrierStage):
 
     def decode(self, ctx: InductionContext, obj: Any) -> Dict[str, Any]:
         return {"engine": engine_from_obj(obj, config=ctx.config.features)}
-
-
-#: page stages by name, for fan-out workers to reconstruct
-PAGE_STAGES: Dict[str, Callable[[], PageStage]] = {
-    "render": RenderStage,
-    "mre": MreStage,
-    "refine": RefineStage,
-    "mine": MineStage,
-    "granularity": GranularityStage,
-}
 
 
 def analysis_stages() -> List[Stage]:

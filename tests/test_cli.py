@@ -358,6 +358,19 @@ class TestDeepNesting:
         code = main([command, "-w", workspace["wrapper"], deep])
         self._assert_clean_failure(code, capsys.readouterr())
 
+    @pytest.mark.parametrize("deep_first", [True, False])
+    @pytest.mark.parametrize("command", ["extract", "serve"])
+    def test_deep_page_through_pool_exits_2(
+        self, workspace, tmp_path, capsys, command, deep_first
+    ):
+        main(["induce", "-o", workspace["wrapper"], *workspace["samples"]])
+        capsys.readouterr()
+        deep = self._deep_page(tmp_path)
+        ok = workspace["new_page"]
+        pages = [deep, ok] if deep_first else [ok, deep]
+        code = main([command, "-w", workspace["wrapper"], "--jobs", "2", *pages])
+        self._assert_clean_failure(code, capsys.readouterr())
+
     def test_induce_deep_sample_exits_2(self, workspace, tmp_path, capsys):
         out = tmp_path / "w.json"
         deep = self._deep_page(tmp_path)
@@ -375,11 +388,6 @@ class TestInducePipelineFlags:
         serial = tmp_path / "serial.json"
         assert main(["induce", "-o", str(serial), *workspace["samples"]]) == 0
 
-        jobs2 = tmp_path / "jobs2.json"
-        assert main(
-            ["induce", "--jobs", "2", "-o", str(jobs2), *workspace["samples"]]
-        ) == 0
-
         ck = tmp_path / "ckpt"
         first = tmp_path / "ck.json"
         assert main(
@@ -394,7 +402,6 @@ class TestInducePipelineFlags:
         ) == 0
 
         reference = serial.read_text()
-        assert jobs2.read_text() == reference
         assert first.read_text() == reference
         assert resumed.read_text() == reference
 

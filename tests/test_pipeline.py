@@ -1,8 +1,8 @@
-"""Staged pipeline tests: codecs, checkpoints, resume, parallel identity.
+"""Staged pipeline tests: codecs, checkpoints, resume, run identity.
 
-The load-bearing invariant of ``repro.pipeline`` is that serial,
-``jobs=N`` and checkpoint-resumed inductions produce bit-identical
-wrappers; these tests pin it on the synthetic corpus, plus the resume
+The load-bearing invariant of ``repro.pipeline`` is that fresh and
+checkpoint-resumed inductions produce bit-identical wrappers; these
+tests pin it on the synthetic corpus, plus the resume
 semantics (deleting one stage's artifacts re-runs exactly that stage
 and its dependents, growing the sample set reuses page-local work).
 """
@@ -57,7 +57,7 @@ class TestCodecs:
     MARKUP = SAMPLES[0][0]
 
     def roundtrip(self, obj):
-        # Through actual JSON text, as the store and the fan-out do.
+        # Through actual JSON text, as the store does.
         return json.loads(json.dumps(obj))
 
     def test_mr_roundtrip_against_rerendered_page(self):
@@ -101,15 +101,10 @@ class TestCodecs:
         )
 
 
-# -- identity: serial / parallel / checkpointed -----------------------------
+# -- identity: serial / checkpointed ----------------------------------------
 
 
 class TestRunIdentity:
-    def test_parallel_matches_serial(self):
-        serial, _ = induce_json()
-        parallel, _ = induce_json(jobs=2)
-        assert parallel == serial
-
     def test_checkpointed_matches_serial(self, tmp_path):
         serial, _ = induce_json()
         checkpointed, _ = induce_json(checkpoint_dir=str(tmp_path))

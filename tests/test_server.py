@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.mse import build_wrapper
 from repro.core.verify import check_wrapper
+from repro.htmlmod import NestingDepthError
 from repro.perf.serve import compile_wrapper, extract_many
 from repro.perf.server import Server, auto_chunksize
 from tests.helpers import make_records, sample_pages, simple_result_page
@@ -80,6 +81,10 @@ def unseen_pages():
         )
     )
     return pages
+
+
+#: a page nested past the parser's budget
+DEEP_PAGE = ("<div>" * 5000 + "deep", "deep")
 
 
 def extraction_doc(extraction):
@@ -302,6 +307,35 @@ class TestErrors:
             assert pooled_extract_docs(server.extract(pages)) == serial
 
 
+class TestNestingDepth:
+    def test_nesting_error_keeps_its_type(self, engine):
+        """A too-deep page raises NestingDepthError, not the generic
+        worker failure, and the pool keeps serving afterwards."""
+        pages = unseen_pages()
+        reference = [
+            extraction_doc(engine.extract(m, q))
+            + json.dumps(check_wrapper(engine, m, q).to_obj(), sort_keys=True)
+            for m, q in pages
+        ]
+        with Server([engine], jobs=2, chunksize=1) as server:
+            with pytest.raises(NestingDepthError, match="nests deeper") as info:
+                server.serve([pages[0], DEEP_PAGE])
+            assert "\n" not in str(info.value)
+            assert "Traceback" in str(info.value.__cause__)
+            served = server.serve(pages)
+        assert [served_doc(page[0]) for page in served] == reference
+
+    def test_too_deep_priming_page_is_skipped(self, engine):
+        ok = unseen_pages()[0]
+        with Server([engine], jobs=2, prime_pages=[DEEP_PAGE, ok]) as server:
+            assert server.restarts == 0
+            assert [
+                stats["prime_pages"] for stats in server.worker_stats.values()
+            ] == [1, 1]
+            with pytest.raises(NestingDepthError):
+                server.extract([DEEP_PAGE])
+
+
 # -- telemetry ----------------------------------------------------------------
 
 
@@ -314,6 +348,29 @@ class TestTelemetry:
         for stats in server.worker_stats.values():
             assert stats["prime_pages"] == 3
             assert "tree_memo" in stats["primed"]
+            assert "dinr_memo" in stats["final"]
+
+    def test_close_keeps_stats_of_workers_that_exit_during_a_poll(
+        self, engine, monkeypatch
+    ):
+        """A worker that answers the shutdown sentinel and exits between
+        an empty poll and the liveness check still reports its stats."""
+        server = Server([engine], jobs=2).start()
+        real_poll = Server._poll
+        polls = []
+
+        def poll_after_workers_exit(self):
+            polls.append(None)
+            if len(polls) == 1:
+                for proc in self._workers.values():
+                    proc.join(timeout=30)
+                return None
+            return real_poll(self)
+
+        monkeypatch.setattr(Server, "_poll", poll_after_workers_exit)
+        server.close()
+        assert set(server.worker_stats) == {0, 1}
+        for stats in server.worker_stats.values():
             assert "dinr_memo" in stats["final"]
 
     def test_observer_merges_worker_metrics(self, engine):
