@@ -12,10 +12,9 @@ corpus:
 - **compiled serve** — ``CompiledWrapper.serve``: one shared render,
   one application sweep, extraction and health assembled from the same
   per-schema results (:mod:`repro.perf.serve`);
-- **cold pool** — the ``extract_many`` compatibility shim at
-  ``jobs=N``: a *temporary* :class:`repro.perf.server.Server` per call,
-  so every call pays worker spawn + per-worker wrapper compilation with
-  cold kernel memos (the pre-PR-10 regime);
+- **cold pool** — an unprimed :class:`repro.perf.server.Server` opened
+  and closed per call at ``jobs=N``, so every call pays worker spawn +
+  per-worker wrapper compilation with cold kernel memos;
 - **warm pool** — a long-lived ``Server`` spawned and primed *before*
   the clock starts: workers are resident, their memos warmed by a
   priming pass (one sample page per engine), chunked batches amortize
@@ -48,8 +47,6 @@ Environment overrides:
 - ``REPRO_BENCH_SERVE_MIN_SPEEDUP`` — serve speedup gate (default 2.0;
   CI uses a softer gate on shared runners);
 - ``REPRO_BENCH_SERVE_JOBS`` — worker count for the pool modes;
-- ``REPRO_BENCH_SERVE_CHUNKSIZE`` — pages per pool IPC message
-  (0 = the auto heuristic);
 - ``REPRO_BENCH_SERVE_MIN_POOL_VS_COMPILED`` — warm-pool serve vs
   single-thread compiled serve gate (default hardware-aware);
 - ``REPRO_BENCH_SERVE_MIN_POOL_VS_INTERPRETED`` — warm-pool serve vs
@@ -73,7 +70,7 @@ from dataclasses import asdict
 from repro.core.mse import build_wrapper
 from repro.core.verify import check_wrapper
 from repro.perf.kernels import clear_kernel_caches
-from repro.perf.serve import compile_wrapper, extract_many
+from repro.perf.serve import compile_wrapper
 from repro.perf.server import Server, auto_chunksize
 from repro.testbed import engine_ids, load_engine_pages
 
@@ -81,7 +78,6 @@ OUTPUT = os.environ.get("REPRO_BENCH_SERVE", "BENCH_serve.json")
 ENGINE_LIMIT = int(os.environ.get("REPRO_BENCH_SERVE_ENGINES", "0"))
 MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_SERVE_MIN_SPEEDUP", "2.0"))
 JOBS = int(os.environ.get("REPRO_BENCH_SERVE_JOBS", "4"))
-CHUNKSIZE = int(os.environ.get("REPRO_BENCH_SERVE_CHUNKSIZE", "0"))
 REPEATS = int(os.environ.get("REPRO_BENCH_SERVE_REPEATS", "3"))
 
 CPU_COUNT = multiprocessing.cpu_count()
@@ -261,29 +257,26 @@ def test_serve_bench_emitted():
 
     pages = [(markup, query) for _, markup, query in tasks]
     wrapper_of = [position for position, _, _ in tasks]
-    chunksize = CHUNKSIZE or None
-    effective_chunksize = chunksize or auto_chunksize(len(pages), JOBS)
 
     # From here on the pool workers must genuinely fork cold: clear the
     # parent's kernel caches so inherited state cannot masquerade as
     # priming (the serial numbers above are already recorded).
     clear_kernel_caches()
 
-    # Cold pool: the extract_many shim builds and tears down a Server
-    # per call — every repetition pays spawn + compile + cold memos.
-    cold_seconds, cold_batch = _best_of(
-        lambda: extract_many(
-            pages, compiled, jobs=JOBS, wrapper_of=wrapper_of,
-            chunksize=chunksize,
-        )
-    )
+    # Cold pool: an unprimed Server per call — every repetition pays
+    # spawn + compile + cold memos.
+    def cold_pool_extract():
+        with Server(compiled, jobs=JOBS) as server:
+            return server.extract(pages, wrapper_of=wrapper_of)
+
+    cold_seconds, cold_batch = _best_of(cold_pool_extract)
     pooled_mismatches = 0
     for row, ref in zip(cold_batch, ref_extractions):
         assert len(row) == 1
         if _extraction_bytes(row[0]) != ref:
             pooled_mismatches += 1
     assert pooled_mismatches == 0, (
-        "cold-pool extract_many diverged from the serial references"
+        "cold-pool extract diverged from the serial references"
     )
 
     # Warm pool: spawn + prime once, outside the clock; then the same
@@ -291,7 +284,6 @@ def test_serve_bench_emitted():
     with Server(
         compiled,
         jobs=JOBS,
-        chunksize=chunksize,
         prime_pages=prime_pages,
         prime_of=list(range(len(engines))),
     ) as server:
@@ -362,7 +354,7 @@ def test_serve_bench_emitted():
             "cpu_count": CPU_COUNT,
             "jobs": JOBS,
             "effective_workers": EFFECTIVE_WORKERS,
-            "chunksize": effective_chunksize,
+            "chunksize": auto_chunksize(len(pages), JOBS),
             "prime_pages": len(prime_pages),
             "pool_restarts": pool_restarts,
         },

@@ -16,8 +16,9 @@ rules need and nothing more:
   method calls on a receiver chain, plus rebinds of ``global`` names,
 - attribute reads grouped by parameter (the codec-drift rule checks a
   codec reads every dataclass field of its parameter),
-- pool fan-out sites: ``multiprocessing.Pool`` construction and the
-  dispatch calls (``map``/``imap``/``apply``/…) with their callable and
+- pool fan-out sites: ``multiprocessing.Pool`` and
+  ``concurrent.futures.ProcessPoolExecutor`` construction and the
+  dispatch calls (``map``/``imap``/``submit``/…) with their callable and
   payload expressions.
 
 Everything is stored in insertion order derived from sorted module
@@ -61,6 +62,7 @@ POOL_DISPATCH_METHODS: Tuple[str, ...] = (
     "map_async",
     "starmap",
     "starmap_async",
+    "submit",
 )
 
 _BUILTIN_NAMES = frozenset(dir(builtins))
@@ -89,7 +91,8 @@ class PoolDispatch:
     #: the expression of the worker callable (first positional arg, the
     #: ``initializer=`` keyword, or a ``Process(target=...)`` keyword)
     callable_expr: ast.expr
-    #: the payload expression (the iterable / ``initargs`` / ``args``)
+    #: the payload expression (the iterable / ``submit`` arguments /
+    #: ``initargs`` / ``args``)
     payload_expr: Optional[ast.expr]
     #: dispatch method name (``imap_unordered``, …), ``initializer``,
     #: or ``Process`` for a long-lived worker construction
@@ -127,7 +130,7 @@ class FunctionInfo:
     #: attribute names read per parameter (``wrapper`` -> {"pref", ...})
     param_attr_reads: Dict[str, Set[str]] = field(default_factory=dict)
     pool_dispatches: List[PoolDispatch] = field(default_factory=list)
-    #: whether the subtree constructs a multiprocessing.Pool
+    #: whether the subtree constructs a process pool
     creates_pool: bool = False
     #: nested function/lambda definitions exist (folded into this info)
     has_nested_defs: bool = False
@@ -468,11 +471,38 @@ def _collect_loop_nests(info: FunctionInfo) -> None:
     walk(info.node, False)
 
 
+def _pool_handles(node: ast.AST, pool_chains: Set[str]) -> Set[str]:
+    """Chains bound to a new pool under ``node``: ``with Pool() as p``
+    targets and assignment targets, ``self`` attributes included."""
+    handles: Set[str] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.withitem) and sub.optional_vars is not None:
+            value, targets = sub.context_expr, [sub.optional_vars]
+        elif isinstance(sub, ast.Assign):
+            value, targets = sub.value, list(sub.targets)
+        else:
+            continue
+        if isinstance(value, ast.Call) and _chain_of(value.func) in pool_chains:
+            for target in targets:
+                bound = _chain_of(target)
+                if bound is not None:
+                    handles.add(bound)
+    return handles
+
+
 def _find_pool_dispatches(
-    info: FunctionInfo, pool_chains: Set[str], process_chains: Set[str]
+    info: FunctionInfo,
+    pool_chains: Set[str],
+    process_chains: Set[str],
+    class_handles: Set[str],
 ) -> None:
-    """Mark pool construction and record dispatch sites."""
-    local_pools: Set[str] = set()
+    """Mark pool construction and record dispatch sites.
+
+    A dispatch method counts on a pool handle: a name this function
+    binds to a new pool, or a ``self`` attribute some method of its
+    class binds to one (``class_handles``).  A function that builds a
+    pool without binding it counts dispatches on any receiver.
+    """
     for chain, call in info.calls:
         # A bare multiprocessing.Process(target=..., args=...) is a
         # dispatch too: the target runs in a worker, the args cross the
@@ -501,36 +531,27 @@ def _find_pool_dispatches(
                     info.pool_dispatches.append(
                         PoolDispatch(keyword.value, initargs, "initializer", call)
                     )
-    if not info.creates_pool:
+    if not info.creates_pool and not class_handles:
         return
-    # Any local bound from a `with Pool(...) as pool` / assignment is a
-    # pool handle candidate; dispatch methods on plain locals count.
-    for node in ast.walk(info.node):
-        if isinstance(node, ast.withitem) and node.optional_vars is not None:
-            chain = _chain_of(node.context_expr) or _chain_of(
-                getattr(node.context_expr, "func", ast.Constant(value=None))
-            )
-            bound = _chain_of(node.optional_vars)
-            if bound is not None and chain is not None and chain in pool_chains:
-                local_pools.add(bound)
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            chain = _chain_of(node.value.func)
-            if chain in pool_chains:
-                for target in node.targets:
-                    bound = _chain_of(target)
-                    if bound is not None:
-                        local_pools.add(bound)
+    handles = set(class_handles)
+    if info.creates_pool:
+        handles |= _pool_handles(info.node, pool_chains)
+    anonymous = info.creates_pool and not handles
     for chain, call in info.calls:
         if "." not in chain:
             continue
         receiver, method = chain.rsplit(".", 1)
-        if method not in POOL_DISPATCH_METHODS:
+        if method not in POOL_DISPATCH_METHODS or not call.args:
             continue
-        if local_pools and receiver not in local_pools:
+        if receiver not in handles and not anonymous:
             continue
-        if not call.args:
-            continue
-        payload = call.args[1] if len(call.args) > 1 else None
+        # ``submit(fn, *args)`` ships every later argument.
+        rest = call.args[1:]
+        payload: Optional[ast.expr] = None
+        if len(rest) == 1:
+            payload = rest[0]
+        elif rest:
+            payload = ast.Tuple(elts=list(rest), ctx=ast.Load())
         info.pool_dispatches.append(PoolDispatch(call.args[0], payload, method, call))
 
 
@@ -540,6 +561,7 @@ def _build_function(
     class_info: Optional[ClassInfo],
     pool_chains: Set[str],
     process_chains: Set[str],
+    class_handles: Set[str],
 ) -> FunctionInfo:
     name = getattr(node, "name", "<lambda>")
     if class_info is not None:
@@ -571,7 +593,7 @@ def _build_function(
     for child in getattr(node, "body", []):
         visitor.visit(child)
     _collect_loop_nests(info)
-    _find_pool_dispatches(info, pool_chains, process_chains)
+    _find_pool_dispatches(info, pool_chains, process_chains, class_handles)
     return info
 
 
@@ -607,17 +629,26 @@ def _value_mutability(
     return False, None, references
 
 
+#: process-pool classes by defining module
+_POOL_CLASSES: Dict[str, str] = {
+    "multiprocessing": "Pool",
+    "multiprocessing.pool": "Pool",
+    "concurrent.futures": "ProcessPoolExecutor",
+    "concurrent.futures.process": "ProcessPoolExecutor",
+}
+
+
 def _pool_chains(module: ModuleInfo) -> Set[str]:
-    """Chains that denote ``multiprocessing.Pool`` in this module."""
-    chains: Set[str] = set()
+    """Chains that denote a process pool class in this module
+    (``multiprocessing.Pool``, ``concurrent.futures.ProcessPoolExecutor``)."""
+    chains: Set[str] = {
+        f"{home}.{name}" for home, name in _POOL_CLASSES.items()
+    }
     for alias, target in module.imports.items():
-        if target == "multiprocessing":
-            chains.add(f"{alias}.Pool")
-        if target in ("multiprocessing.Pool", "multiprocessing.pool.Pool"):
+        if target in _POOL_CLASSES:
+            chains.add(f"{alias}.{_POOL_CLASSES[target]}")
+        if target in chains:
             chains.add(alias)
-        if target == "multiprocessing.pool":
-            chains.add(f"{alias}.Pool")
-    chains.add("multiprocessing.Pool")
     return chains
 
 
@@ -694,7 +725,9 @@ def build_module_info(ctx: ModuleContext) -> ModuleInfo:
 
     for node in ctx.tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            info = _build_function(node, module, None, pool_chains, process_chains)
+            info = _build_function(
+                node, module, None, pool_chains, process_chains, set()
+            )
             module.functions[info.name] = info
         elif isinstance(node, ast.ClassDef):
             class_info = ClassInfo(
@@ -710,10 +743,21 @@ def build_module_info(ctx: ModuleContext) -> ModuleInfo:
                 fields=_class_fields(node),
                 is_dataclass=_is_dataclass(node),
             )
+            # Pools a method binds to ``self`` are handles in every method.
+            class_handles = {
+                chain
+                for chain in _pool_handles(node, pool_chains)
+                if chain.startswith("self.")
+            }
             for child in node.body:
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     method = _build_function(
-                        child, module, class_info, pool_chains, process_chains
+                        child,
+                        module,
+                        class_info,
+                        pool_chains,
+                        process_chains,
+                        class_handles,
                     )
                     class_info.methods[method.name] = method
             module.classes[node.name] = class_info

@@ -10,15 +10,17 @@ registry replaces them with explicit, *reviewed* classification:
   fork-safety rule (MP01) accepts on a pool-worker path.  An entry is a
   claim: the global is a memo or interner whose values are pure
   functions of their keys, so a fork that starts cold merely recomputes
-  — it can never disagree with the parent.  Anything mutable mutated on
-  a worker path and *not* listed here is a fork-safety finding.
+  — it can never disagree with the parent — or it is state a pool's
+  initializer fills for its own worker and the parent never reads.
+  Anything mutable mutated on a worker path and *not* listed here is a
+  fork-safety finding.
 
 - :data:`POOL_WORKER_ENTRYPOINTS` names the functions that run inside
   worker processes.  The flow model also discovers entries structurally
   from dispatch sites; the declared list is the safety net for targets
-  shipped through dynamically-resolved handles (a ``get_context()``
-  Process factory), and seeds :func:`repro.analysis.flow.callgraph
-  .build_call_graph`'s ``worker_entries``.
+  shipped through handles it cannot follow, and seeds
+  :func:`repro.analysis.flow.callgraph.build_call_graph`'s
+  ``worker_entries``.
 
 - :data:`IDENTITY_KEY_FUNCTIONS` names the functions allowed to derive
   ``id()``-based memo keys (DET01's one sanctioned exception).  Keys
@@ -66,27 +68,32 @@ PROCESS_LOCAL_MEMOS: Dict[str, str] = {
         "intern table for signature tuples; idempotent fill, interned "
         "objects are compared by value at every boundary"
     ),
+    "repro.perf.server._WORKER": (
+        "Server worker state (compiled wrappers, observer, priming count, "
+        "report barrier) filled once by the executor initializer inside "
+        "each worker; the parent never reads it, and only task results "
+        "cross back"
+    ),
 }
 
 #: declared pool/process worker entry points: qualified name -> how the
 #: function reaches a worker process.  The flow model discovers entries
-#: structurally (Pool dispatch methods, ``Process(target=...)``), but a
-#: target constructed behind a factory handle (``ctx.Process`` from
-#: ``multiprocessing.get_context()``) resolves dynamically; declaring it
-#: here guarantees MP01 fork-safety coverage cannot silently lapse when
-#: the construction site is refactored.
+#: structurally (pool ``initializer=`` and dispatch methods,
+#: ``Process(target=...)``); declaring them here guarantees MP01
+#: fork-safety coverage cannot silently lapse when a construction or
+#: dispatch site is refactored out of the model's sight.
 POOL_WORKER_ENTRYPOINTS: Dict[str, str] = {
-    "repro.perf.server._worker_main": (
-        "Server._spawn ships it via ctx.Process(target=...): the "
-        "resident worker loop that compiles, primes and serves chunks"
-    ),
-    "repro.perf.server._prime_worker": (
-        "runs inside _worker_main before the first chunk: warms the "
-        "process-local kernel memos over the priming pages"
+    "repro.perf.server._init_worker": (
+        "Server._open's ProcessPoolExecutor initializer: compiles the "
+        "wrappers and primes the process-local kernel memos"
     ),
     "repro.perf.server._run_chunk": (
-        "per-chunk serve/extract payload executed inside the resident "
-        "worker loop"
+        "submitted once per chunk by Server._run_chunks: serves or "
+        "extracts the chunk's pages"
+    ),
+    "repro.perf.server._report": (
+        "submitted once per worker by Server._broadcast: the worker's "
+        "kernel stats and observer document"
     ),
 }
 

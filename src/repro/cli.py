@@ -162,15 +162,11 @@ def cmd_extract(args) -> int:
     # (bit-identical extractions, no per-page timing).
     batch: Optional[List] = None
     if args.jobs > 1 and len(pages) > 1:
-        from repro.perf.serve import extract_many
+        from repro.perf.server import Server
 
-        rows = extract_many(
-            [(markup, query) for _, markup, query in pages],
-            [wrapper],
-            jobs=args.jobs,
-            chunksize=args.chunksize,
-            obs=obs,
-        )
+        jobs = min(args.jobs, len(pages))
+        with Server([wrapper], jobs=jobs, obs=obs) as server:
+            rows = server.extract([(markup, q) for _, markup, q in pages])
         batch = [row[0] for row in rows]
 
     payload = []
@@ -257,19 +253,14 @@ def cmd_serve(args) -> int:
         # timed batch runs.
         jobs = min(args.jobs, len(pages))
         with Server(
-            compiled,
-            jobs=jobs,
-            chunksize=args.chunksize,
-            prime_pages=pages[:1],
-            obs=obs,
+            compiled, jobs=jobs, prime_pages=pages[:1], obs=obs
         ) as server:
             start = time.perf_counter()
             results = server.extract(pages)
             elapsed = time.perf_counter() - start
             pool_doc = {
                 "workers": jobs,
-                "chunksize": args.chunksize
-                or auto_chunksize(len(pages), jobs),
+                "chunksize": auto_chunksize(len(pages), jobs),
                 "prime_pages": 1,
                 "restarts": server.restarts,
                 "worker_prime_pages": {
@@ -543,11 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for batch extraction over the compiled "
         "serving pool (1 = serial interpreted loop with per-page timing)",
     )
-    p_extract.add_argument(
-        "--chunksize", type=int, default=None,
-        help="pages per worker IPC message when --jobs > 1 "
-        "(default: auto heuristic from page and worker count)",
-    )
     _add_obs_flags(p_extract)
     p_extract.set_defaults(func=cmd_extract)
 
@@ -573,11 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1,
         help="worker processes for page serving (1 = serial, with p50/p99; "
         ">1 routes through the warm persistent Server pool)",
-    )
-    p_serve.add_argument(
-        "--chunksize", type=int, default=None,
-        help="pages per worker IPC message when --jobs > 1 "
-        "(default: auto heuristic from page and worker count)",
     )
     p_serve.add_argument(
         "--json", metavar="FILE", default=None,

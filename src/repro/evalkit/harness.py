@@ -12,18 +12,19 @@ Run from the command line::
     python -m repro.evalkit.harness --table all --limit 20   # quick pass
     python -m repro.evalkit.harness --jobs 4           # 4 worker processes
 
-Engines are independent workloads, so ``--jobs N`` fans the corpus out
-over a process pool; results are merged back in engine-id order, which
-keeps every table bit-identical to a serial run.  Within an engine,
-induction runs in one process.
+Engines are independent workloads, so ``--jobs N`` maps the corpus over
+a :class:`~concurrent.futures.ProcessPoolExecutor`; the map yields in
+engine-id order, so results merge exactly as a serial run merges them
+and every table stays bit-identical.  Within an engine, induction runs
+in one process.
 """
 
 from __future__ import annotations
 
 import argparse
-import multiprocessing
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -283,7 +284,7 @@ def _parallel_worker(
 ) -> Tuple[EngineResult, Optional[Dict[str, Any]]]:
     """Evaluate one engine inside a pool worker.
 
-    Must be a top-level function (pickled by multiprocessing).  Each
+    Must be a top-level function (pickled by the executor).  Each
     worker builds its own page set and, when the parent observes, its
     own :class:`Observer`; the observer's :meth:`~Observer.stats`
     document travels back for :meth:`Observer.merge_stats`.
@@ -305,10 +306,10 @@ def run_evaluation(
 ) -> EvaluationRun:
     """Evaluate MSE over (a subset of) the corpus.
 
-    With ``jobs > 1`` the engines fan out over a process pool.  Results
-    are re-ordered by engine id before merging, so the aggregate rows —
-    and hence Tables 1–3 — are identical to a serial run; per-worker
-    observer stats are folded into ``obs`` the same way.
+    With ``jobs > 1`` the engines are mapped over a process pool.  The
+    map yields in engine-id order, so the aggregate rows — and hence
+    Tables 1–3 — merge exactly as a serial run's do; per-worker observer
+    stats are folded into ``obs`` in the same order.
     """
     run = EvaluationRun()
     if jobs > 1:
@@ -316,18 +317,14 @@ def run_evaluation(
         if limit is not None:
             ids = ids[:limit]
         tasks = [(engine_id, config, obs.enabled) for engine_id in ids]
-        collected: List[Tuple[EngineResult, Optional[Dict[str, Any]]]] = []
-        with multiprocessing.Pool(processes=min(jobs, max(1, len(tasks)))) as pool:
-            for result, stats in pool.imap_unordered(_parallel_worker, tasks):
-                collected.append((result, stats))
+        with ProcessPoolExecutor(min(jobs, max(1, len(tasks)))) as pool:
+            for result, stats in pool.map(_parallel_worker, tasks):
+                run.engines.append(result)
+                run.rows.merge(result.rows)
+                if stats is not None:
+                    obs.merge_stats(stats)
                 if progress:
                     _print_progress(result)
-        collected.sort(key=lambda item: item[0].engine_id)
-        for result, stats in collected:
-            run.engines.append(result)
-            run.rows.merge(result.rows)
-            if stats is not None:
-                obs.merge_stats(stats)
         return run
 
     for engine_pages in iter_corpus(subset, limit=limit):

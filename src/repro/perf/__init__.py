@@ -14,12 +14,13 @@ implementations:
   keyed on those signatures, with hit/miss statistics surfaced as
   ``perf.*`` observability gauges;
 - :mod:`repro.perf.serve` — the serving path: one render per page
-  feeding both the extraction and the wrapper health, and the batch
-  ``extract_many`` entry point behind ``python -m repro serve``;
-- :mod:`repro.perf.server` — the warm persistent worker pool:
-  :class:`~repro.perf.server.Server` spawns serving workers
-  once, primes their per-process memos over representative pages, and
-  amortizes IPC with auto-sized task chunks across repeated batches.
+  feeding both the extraction and the wrapper health;
+- :mod:`repro.perf.server` — the warm persistent worker pool behind
+  ``python -m repro serve|extract --jobs N``:
+  :class:`~repro.perf.server.Server` runs a ``ProcessPoolExecutor``
+  whose initializer compiles the wrappers and primes each worker's
+  memos once, submits auto-sized page chunks across repeated batches,
+  and rebuilds the pool after a crash or a stall without losing a page.
 
 See the "Performance" section of DESIGN.md for how the layers fit, and
 ``benchmarks/bench_kernels.py`` / ``benchmarks/bench_serve.py`` for the
@@ -63,7 +64,6 @@ _SERVE_EXPORTS = frozenset(
         "ServedPage",
         "build_page_index",
         "compile_wrapper",
-        "extract_many",
     }
 )
 
@@ -102,7 +102,6 @@ __all__ = [  # lint: allow API01 -- serve names resolve lazily via module __geta
     "build_page_index",
     "clear_kernel_caches",
     "compile_wrapper",
-    "extract_many",
     "fast_forest_distance",
     "fast_normalized_tree_distance",
     "interned_forest_signature",

@@ -20,7 +20,7 @@ construction; the serve tests and ``benchmarks/bench_serve.py`` assert
 it on every page they serve.
 
 :class:`PageIndex` is a handle on one rendered, cleaned page, so one
-render can be shared by several wrappers (:func:`extract_many`, the
+render can be shared by several wrappers (the
 :class:`repro.perf.server.Server` workers).
 """
 
@@ -154,63 +154,3 @@ def resolve_assignments(
         if not 0 <= wrapper_id < wrapper_count:
             raise ValueError(f"wrapper_of index {wrapper_id} out of range")
     return [(wrapper_id,) for wrapper_id in wrapper_of]
-
-
-def extract_many(
-    pages: Sequence[Tuple[str, str]],
-    wrappers: Sequence[Union[EngineWrapper, CompiledWrapper]],
-    jobs: int = 1,
-    wrapper_of: Optional[Sequence[int]] = None,
-    obs: ObserverLike = NULL_OBSERVER,
-    chunksize: Optional[int] = None,
-) -> List[List[PageExtraction]]:
-    """Batch extraction: render each page once, apply many wrappers.
-
-    ``pages`` is a sequence of ``(markup, query)`` pairs; ``wrappers``
-    may mix plain and compiled engine wrappers.  By default every
-    wrapper is applied to every page; ``wrapper_of`` (one wrapper index
-    per page) restricts each page to its own wrapper — the shape of a
-    multi-engine serving fleet.  Returns one list of
-    :class:`PageExtraction` per page, aligned with the applied wrapper
-    order; results are deterministic and independent of ``jobs``
-    (asserted corpus-wide in the serve tests).
-
-    ``jobs <= 1`` (or a single page) runs the in-process loop and never
-    starts a worker process.  Larger ``jobs`` delegate to a
-    temporary :class:`repro.perf.server.Server` — a compatibility shim
-    for one-shot callers.  The pool is torn down on return, so its
-    workers start cold; a caller serving repeated batches should hold a
-    ``Server`` (with priming pages) open instead.
-    """
-    assignments = resolve_assignments(len(pages), wrapper_of, len(wrappers))
-
-    with obs.span("extract_many"):
-        if jobs <= 1 or len(pages) <= 1:
-            compiled = [
-                wrapper
-                if isinstance(wrapper, CompiledWrapper)
-                else CompiledWrapper(wrapper)
-                for wrapper in wrappers
-            ]
-            serial: List[List[PageExtraction]] = []
-            for (markup, query), wrapper_ids in zip(pages, assignments):
-                index = build_page_index(markup, query, obs=obs)
-                serial.append(
-                    [
-                        compiled[wrapper_id].extract_index(index, obs=obs)
-                        for wrapper_id in wrapper_ids
-                    ]
-                )
-            obs.count("serve.pages", len(serial))
-            return serial
-
-        # Imported here: repro.perf.server imports this module.
-        from repro.perf.server import Server
-
-        with Server(
-            wrappers,
-            jobs=min(jobs, len(pages)),
-            chunksize=chunksize,
-            obs=obs,
-        ) as server:
-            return server.extract(pages, wrapper_of=wrapper_of)

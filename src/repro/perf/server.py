@@ -1,77 +1,37 @@
 """Warm persistent serving workers: the long-lived batch pool.
 
-:func:`repro.perf.serve.extract_many` answers *one* batch, but it used
-to pay the whole pool tax per call: fork workers, re-compile every
-wrapper inside each of them, start with cold ``TREE_MEMO`` /
-``FOREST_MEMO`` / ``DINR_MEMO`` caches, and ship one page per IPC
-round-trip.  ``BENCH_serve.json`` recorded the result — a 4-worker pool
-*losing* to one warm thread.
+MSE applies each induced wrapper to each result page independently
+(§5.7), so a batch is an ordered map over independent pages.
+:class:`Server` runs it on a
+:class:`~concurrent.futures.ProcessPoolExecutor` kept alive across
+batches: the executor's ``initializer`` compiles the wrappers once and
+primes each worker's kernel memos over representative pages, and each
+chunk of a batch (sized by :func:`auto_chunksize`) is one ``submit``,
+read back in chunk order.  When a worker dies, or the pool finishes
+nothing for a whole stall window, the server kills every worker, opens
+a fresh executor and resubmits only the unfinished chunks, so a crash
+costs throughput, never a page, a duplicate or the ordering.  Worker
+exceptions arrive with their own type and the worker traceback as
+``__cause__``; results are bit-identical to the serial serving path.
 
-:class:`Server` keeps the pool alive instead:
-
-- **Spawn once.**  Workers are forked at :meth:`Server.start` (or on
-  first use) and stay resident across calls.  Each worker compiles the
-  engine wrappers once and then runs a *priming pass* over caller-chosen
-  representative pages, so the per-process kernel memos and interners
-  are warm before the first real batch arrives.  Per-worker cache
-  warmth is reported back (``server.worker.*`` gauges and
-  :attr:`Server.worker_stats`) so benchmarks can show the
-  cold-vs-warm delta next to pages/sec.
-- **Amortize IPC.**  Batches are split into chunks sized by
-  :func:`auto_chunksize` (the classic ``len(pages) / (workers * 4)``
-  heuristic, capped) and dispatched one chunk per idle worker, so the
-  per-message cost spreads over many pages while the tail stays
-  balanced.
-- **Degrade, don't lose.**  The parent polls worker liveness while it
-  collects results; a worker that dies mid-chunk is respawned (with a
-  fresh task queue, so a stale chunk can never replay) and its chunk is
-  retried.  Chunk completion is idempotent, batch-epoch-fenced and
-  written into position-indexed slots, so a crash costs throughput —
-  never a page, never a duplicate, never the ordering.  If the pool
-  goes *silent* for a whole stall window (a stopped worker, or a result
-  queue poisoned by a worker killed mid-write), the parent rebuilds it
-  wholesale — every worker killed, fresh queues, in-flight chunks
-  requeued — so no single wedged channel can deadlock a batch; crashes
-  and rebuilds draw from the same ``max_restarts`` budget and raise
-  once it is exhausted.
-
-Results are bit-identical to the serial serving path (and therefore to
-the :meth:`~repro.core.wrapper.EngineWrapper.extract` /
-``check_wrapper`` pair): workers run the same
-:class:`~repro.perf.serve.CompiledWrapper` code on the same rendered
-page, and the parity suite asserts it corpus-wide.
-
-Per-worker observability rides the same protocol: when the caller's
-observer is enabled each worker keeps its own
-:class:`~repro.obs.Observer`, and at :meth:`Server.close` the worker
-stats documents merge back through :meth:`Observer.merge_stats` (spans
-graft, counters add, metrics fold via
-:meth:`MetricsRegistry.merge_snapshot`).
-
-Fork-safety and pickle-safety of this module are enforced by the flow
-rules (MP01/MP02): the worker entry points are registered in
-:data:`repro.analysis.registry.POOL_WORKER_ENTRYPOINTS`, and the only
-globals workers touch are the registered process-local memos.
+Only what the executor lacks is added.  A barrier sized to the pool
+makes ``jobs`` report tasks reach ``jobs`` distinct workers, for the
+per-worker kernel stats after priming and at close and the observer
+documents merged through :meth:`Observer.merge_stats`.  And every worker
+is SIGKILLed before ``shutdown(wait=True)``, which otherwise blocks
+forever on a stopped one.  The flow rules (MP01/MP02) check the worker
+functions, declared in
+:data:`repro.analysis.registry.POOL_WORKER_ENTRYPOINTS`.
 """
 
 from __future__ import annotations
 
 import gc
 import multiprocessing
-import traceback
-from collections import deque
-from queue import Empty
-from typing import (
-    Any,
-    Deque,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+import os
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.model import PageExtraction
 from repro.core.wrapper import EngineWrapper
@@ -85,42 +45,38 @@ from repro.perf.serve import (
     resolve_assignments,
 )
 
-#: one unit of worker work: (markup, query, wrapper ids to apply)
-_PageTask = Tuple[str, str, Tuple[int, ...]]
+#: one unit of worker work: ((markup, query), wrapper ids to apply)
+_PageTask = Tuple[Tuple[str, str], Tuple[int, ...]]
 
-#: a chunk of page tasks shipped in one IPC message
+#: a chunk of page tasks shipped in one submit
 _Chunk = Tuple[_PageTask, ...]
 
-#: batch modes (what the worker runs per page)
-_MODE_EXTRACT = "extract"
-_MODE_SERVE = "serve"
+#: per page of a chunk, one result per applied wrapper
+_Payload = List[List[Any]]
 
-#: seconds between liveness checks while waiting on the result queue
-_POLL_SECONDS = 0.05
+#: one worker's report: (pid, priming pages served, observer stats
+#: document or None, kernel cache stats)
+_Report = Tuple[int, int, Optional[Dict[str, Any]], Dict[str, Any]]
 
-#: consecutive empty polls (~60 s at _POLL_SECONDS) before the parent
-#: assumes the worker IPC is wedged — fork can copy a queue mid-write
-#: on a loaded box — and terminates the silent workers so the normal
-#: respawn-and-requeue path recovers instead of polling forever
-_STALL_POLLS = 1200
+#: seconds the pool may finish nothing (no chunk, no report) before the
+#: server takes it for wedged — a stopped worker, or a queue lock held
+#: by a worker killed mid-write — and replaces it
+_STALL_SECONDS = 60.0
 
-#: auto_chunksize targets this many chunks per worker (the stdlib
-#: Pool heuristic): enough slack for work stealing without paying
-#: per-page IPC
+#: pool replacements (after a crash or a stall) one server may spend
+_MAX_RESTARTS = 8
+
+#: auto_chunksize targets this many chunks per worker (the stdlib Pool
+#: heuristic): slack for work stealing without per-page IPC
 _CHUNKS_PER_WORKER = 4
 
-#: auto_chunksize cap so huge batches still stream progress
+#: auto_chunksize cap: one chunk never serializes an unbounded payload
 _MAX_CHUNKSIZE = 64
 
 
 def auto_chunksize(page_count: int, workers: int) -> int:
-    """Chunk size amortizing IPC for ``page_count`` pages on ``workers``.
-
-    Mirrors ``multiprocessing.Pool``'s heuristic — about
-    ``_CHUNKS_PER_WORKER`` chunks per worker so stragglers can steal
-    work — capped at ``_MAX_CHUNKSIZE`` pages per message so one chunk
-    never serializes an unbounded payload.
-    """
+    """Chunk size amortizing IPC: about ``_CHUNKS_PER_WORKER`` chunks
+    per worker, capped at ``_MAX_CHUNKSIZE`` pages per chunk."""
     if page_count <= 0 or workers <= 0:
         return 1
     chunk, extra = divmod(page_count, workers * _CHUNKS_PER_WORKER)
@@ -129,22 +85,28 @@ def auto_chunksize(page_count: int, workers: int) -> int:
     return max(1, min(chunk, _MAX_CHUNKSIZE))
 
 
-def _prime_worker(
-    compiled: Sequence[CompiledWrapper],
-    prime_tasks: Sequence[_PageTask],
-    obs: ObserverLike,
-) -> int:
-    """Warm this process's kernel memos: serve every priming page.
+#: this worker's state, filled by :func:`_init_worker` (never in the
+#: parent): ``compiled`` wrappers, ``obs``, ``prime_pages`` served, and
+#: the ``barrier`` sized to the pool that holds each worker to one report
+_WORKER: Dict[str, Any] = {}
 
-    ``serve_index`` exercises strictly more of the hot path than
-    ``extract_index`` (extraction *and* the DINR/health kernels), so
-    priming through it warms every memo a later batch can hit.  The
-    served results are discarded — only the cache side effects matter.
-    A page nested too deep to parse primes nothing and is not counted;
-    serving it later raises its :class:`NestingDepthError` as usual.
+
+def _init_worker(
+    engines: Sequence[EngineWrapper],
+    prime_tasks: Sequence[_PageTask],
+    observed: bool,
+    barrier: Any,
+) -> None:
+    """Executor initializer: compile the wrappers, prime the memos.
+
+    Priming runs ``serve_index``, which warms every memo a batch can hit
+    (extraction *and* health kernels).  A page nested too deep to parse
+    primes nothing and is not counted.
     """
+    obs: ObserverLike = Observer() if observed else NULL_OBSERVER
+    compiled = [CompiledWrapper(engine) for engine in engines]
     primed = 0
-    for markup, query, wrapper_ids in prime_tasks:
+    for (markup, query), wrapper_ids in prime_tasks:
         try:
             index = build_page_index(markup, query, obs=obs)
         except NestingDepthError:
@@ -152,129 +114,72 @@ def _prime_worker(
         for wrapper_id in wrapper_ids:
             compiled[wrapper_id].serve_index(index, obs=obs)
         primed += 1
-    return primed
+    _WORKER.update(
+        compiled=compiled, obs=obs, prime_pages=primed, barrier=barrier
+    )
+    # The wrappers and primed memos live as long as the worker; freeze
+    # them so later collections never re-scan the warm cache population.
+    gc.collect()
+    gc.freeze()
 
 
-def _run_chunk(
-    compiled: Sequence[CompiledWrapper],
-    mode: str,
-    chunk: _Chunk,
-    obs: ObserverLike,
-) -> List[List[Any]]:
-    """Serve or extract every page of one chunk, in chunk order."""
-    payload: List[List[Any]] = []
-    for markup, query, wrapper_ids in chunk:
+def _run_chunk(serve: bool, chunk: _Chunk) -> _Payload:
+    """Serve (or extract) every page of one chunk, in chunk order."""
+    compiled, obs = _WORKER["compiled"], _WORKER["obs"]
+    run = (
+        CompiledWrapper.serve_index if serve else CompiledWrapper.extract_index
+    )
+    payload: _Payload = []
+    for (markup, query), wrapper_ids in chunk:
         index = build_page_index(markup, query, obs=obs)
-        if mode == _MODE_SERVE:
-            payload.append(
-                [
-                    compiled[wrapper_id].serve_index(index, obs=obs)
-                    for wrapper_id in wrapper_ids
-                ]
-            )
-        else:
-            payload.append(
-                [
-                    compiled[wrapper_id].extract_index(index, obs=obs)
-                    for wrapper_id in wrapper_ids
-                ]
-            )
+        payload.append([run(compiled[i], index, obs=obs) for i in wrapper_ids])
     return payload
 
 
-def _worker_main(
-    worker_id: int,
-    engines: Sequence[EngineWrapper],
-    prime_tasks: Sequence[_PageTask],
-    observed: bool,
-    tasks: Any,
-    results: Any,
-) -> None:
-    """Resident worker loop: compile, prime, then serve chunks forever.
-
-    Protocol (messages on ``results``):
-
-    - ``("primed", worker_id, prime_pages, kernel_stats)`` once the
-      wrappers are compiled and the priming pass has run;
-    - ``("done", worker_id, epoch, chunk_id, payload)`` per completed
-      chunk — ``epoch`` echoes the batch that dispatched it, so the
-      parent can discard chunks from a batch aborted by an error;
-    - ``("error", worker_id, epoch, chunk_id, formatted_traceback,
-      nesting_message)`` when a chunk raises — ``nesting_message`` is the
-      one-line message of a :class:`NestingDepthError`, else ``None``;
-      the worker stays alive for the next chunk;
-    - ``("stats", worker_id, stats_doc, kernel_stats)`` in response to
-      the ``None`` shutdown sentinel, after which the worker exits.
-    """
-    obs: ObserverLike = Observer() if observed else NULL_OBSERVER
-    compiled = [CompiledWrapper(engine) for engine in engines]
-    primed = _prime_worker(compiled, prime_tasks, obs)
-    # The wrappers and primed memos are permanent for this
-    # worker's lifetime; freeze them out of the cyclic GC so later
-    # collections never re-scan the (large) warm cache population.
-    gc.collect()
-    gc.freeze()
-    results.put(("primed", worker_id, primed, kernel_cache_stats()))
-    while True:
-        message = tasks.get()
-        if message is None:
-            stats_doc = obs.stats() if isinstance(obs, Observer) else None
-            results.put(("stats", worker_id, stats_doc, kernel_cache_stats()))
-            return
-        epoch, chunk_id, mode, chunk = message
-        try:
-            payload = _run_chunk(compiled, mode, chunk, obs)
-        except Exception as exc:
-            nesting = str(exc) if isinstance(exc, NestingDepthError) else None
-            trace = traceback.format_exc()
-            results.put(("error", worker_id, epoch, chunk_id, trace, nesting))
-            continue
-        results.put(("done", worker_id, epoch, chunk_id, payload))
+def _report(final: bool) -> _Report:
+    """This worker's stats, once every worker holds a report task: no
+    worker can take a second report while the barrier waits."""
+    _WORKER["barrier"].wait(timeout=_STALL_SECONDS)
+    obs = _WORKER["obs"]
+    doc = obs.stats() if final and isinstance(obs, Observer) else None
+    return os.getpid(), _WORKER["prime_pages"], doc, kernel_cache_stats()
 
 
 class Server:
     """A long-lived pool of pre-warmed compiled-serving workers.
 
     ``wrappers`` may mix plain :class:`EngineWrapper` and
-    :class:`CompiledWrapper` (workers compile their own copies).
-    ``prime_pages`` — optional representative ``(markup, query)`` pairs
-    — are served once by *every* worker at spawn to warm its kernel
-    memos; ``prime_of`` restricts each priming page to one wrapper, the
-    same shape as ``wrapper_of``.
+    :class:`CompiledWrapper`.  ``prime_pages`` — optional representative
+    ``(markup, query)`` pairs — are served once by *every* worker at
+    spawn to warm its kernel memos; ``prime_of`` restricts each priming
+    page to one wrapper, the same shape as ``wrapper_of``.
 
-    Use as a context manager, or call :meth:`close` / :meth:`join`::
+    Use as a context manager, or call :meth:`close`::
 
         with Server(wrappers, jobs=4, prime_pages=samples) as server:
             extractions = server.extract(pages, wrapper_of=owners)
             served = server.serve(more_pages, wrapper_of=owners)
 
-    Batches may be submitted repeatedly; workers stay resident (that is
-    the point).  Results are deterministic and bit-identical to the
-    serial compiled path regardless of ``jobs``/``chunksize``; a worker
-    crash is detected, the worker respawned and its chunk retried, so
-    pages are never lost or duplicated.
+    Workers stay resident across batches.  Results are deterministic
+    and bit-identical to the serial compiled path whatever ``jobs``,
+    crashes and stalls included.
     """
 
     def __init__(
         self,
         wrappers: Sequence[Union[EngineWrapper, CompiledWrapper]],
         jobs: int = 1,
-        chunksize: Optional[int] = None,
         prime_pages: Sequence[Tuple[str, str]] = (),
         prime_of: Optional[Sequence[int]] = None,
         obs: ObserverLike = NULL_OBSERVER,
-        max_restarts: int = 8,
     ) -> None:
         if not wrappers:
             raise ValueError("Server needs at least one wrapper")
-        if chunksize is not None and chunksize < 1:
-            raise ValueError("chunksize must be >= 1")
         self.jobs = max(1, jobs)
-        self.chunksize = chunksize
         self.obs = obs
-        self.max_restarts = max_restarts
         self.restarts = 0
-        #: per-worker telemetry: {"prime_pages", "primed", "final", ...}
+        #: per-worker telemetry: {"prime_pages", "primed", "final"}; ids
+        #: number every worker the server has run, replacements included
         self.worker_stats: Dict[int, Dict[str, Any]] = {}
         self._engines: List[EngineWrapper] = [
             wrapper.engine if isinstance(wrapper, CompiledWrapper) else wrapper
@@ -283,29 +188,12 @@ class Server:
         prime_ids = resolve_assignments(
             len(prime_pages), prime_of, len(self._engines)
         )
-        self._prime: Tuple[_PageTask, ...] = tuple(
-            (markup, query, wrapper_ids)
-            for (markup, query), wrapper_ids in zip(prime_pages, prime_ids)
-        )
+        self._prime: Tuple[_PageTask, ...] = tuple(zip(prime_pages, prime_ids))
         self._observed = bool(getattr(obs, "enabled", False))
-        self._ctx = multiprocessing.get_context()
-        self._result_queue: Any = self._ctx.Queue()
-        self._workers: Dict[int, Any] = {}
-        self._task_queues: Dict[int, Any] = {}
-        self._primed: Set[int] = set()
-        #: worker id -> (batch epoch, chunk id) of its in-flight chunk
-        self._busy: Dict[int, Tuple[int, int]] = {}
-        self._next_worker_id = 0
-        self._epoch = 0
-        self._started = False
+        self._pool: Optional[ProcessPoolExecutor] = None
+        #: worker pid -> worker id
+        self._worker_ids: Dict[int, int] = {}
         self._closed = False
-        # per-batch state (reset by _run_batch)
-        self._chunks: List[_Chunk] = []
-        self._chunk_starts: List[int] = []
-        self._pending: Deque[int] = deque()
-        self._completed: Set[int] = set()
-        self._slots: List[Optional[List[Any]]] = []
-        self._mode: str = _MODE_EXTRACT
 
     # -- lifecycle ------------------------------------------------------
     def __enter__(self) -> "Server":
@@ -318,88 +206,29 @@ class Server:
     @property
     def workers_alive(self) -> int:
         """Live worker processes right now (crash tests poke at this)."""
-        return sum(1 for proc in self._workers.values() if proc.is_alive())
+        return sum(1 for proc in self._processes() if proc.is_alive())
 
     def start(self) -> "Server":
-        """Spawn and prime the pool; idempotent; blocks until warm."""
+        """Fork and prime the pool; idempotent; blocks until warm."""
         if self._closed:
             raise RuntimeError("Server is closed")
-        if self._started:
-            return self
-        self._started = True
-        with self.obs.span("server.start"):
-            for _ in range(self.jobs):
-                self._spawn()
-            stalled = 0
-            while any(
-                worker_id not in self._primed for worker_id in self._workers
-            ):
-                message = self._poll()
-                if message is None:
-                    stalled += 1
-                    if stalled >= _STALL_POLLS:
-                        stalled = 0
-                        self._rebuild_pool()
-                        continue
-                    self._reap()
-                    continue
-                stalled = 0
-                if message[0] == "primed":
-                    self._on_primed(message[1], message[2], message[3])
-            self.obs.gauge("server.workers", float(len(self._workers)))
+        if self._pool is None:
+            with self.obs.span("server.start"):
+                self._open(restart=False)
+                self.obs.gauge("server.workers", float(self.jobs))
         return self
 
     def close(self) -> None:
-        """Shut the pool down: drain stats, merge telemetry, join."""
+        """Shut the pool down: collect final stats, merge telemetry, kill."""
         if self._closed:
             return
         self._closed = True
-        if not self._started:
+        if self._pool is None:
             return
-        for worker_id in sorted(self._task_queues):
-            self._task_queues[worker_id].put(None)
-        waiting = {
-            worker_id
-            for worker_id, proc in self._workers.items()
-            if proc.is_alive()
-        }
-        exited: Set[int] = set()
-        stalled = 0
-        while waiting:
-            message = self._poll()
-            if message is None:
-                stalled += 1
-                if stalled >= _STALL_POLLS:
-                    break  # wedged workers: the join/terminate below cleans up
-                # A worker that had exited before this empty poll has
-                # nothing left in flight; one that exited since may still
-                # have its stats in the pipe, so it gets one more poll.
-                waiting -= exited
-                exited = {
-                    worker_id
-                    for worker_id in waiting
-                    if not self._workers[worker_id].is_alive()
-                }
-                continue
-            stalled = 0
-            if message[0] == "stats":
-                self._on_final_stats(message[1], message[2], message[3])
-                waiting.discard(message[1])
-            # late "done"/"error"/"primed" messages are harmless here
-        for proc in self._workers.values():
-            proc.join(timeout=5)
-            if proc.is_alive():
-                proc.kill()
-                proc.join()
-        self._workers.clear()
-        self._task_queues.clear()
-        self._primed.clear()
-        self._busy.clear()
+        for report in self._broadcast(final=True):
+            self._on_report("final", report)
+        self._kill()
         self.obs.gauge("server.restarts", float(self.restarts))
-
-    def join(self) -> None:
-        """Alias for :meth:`close` (submit/collect API symmetry)."""
-        self.close()
 
     # -- the public batch API -------------------------------------------
     def extract(
@@ -408,7 +237,7 @@ class Server:
         wrapper_of: Optional[Sequence[int]] = None,
     ) -> List[List[PageExtraction]]:
         """Batch extraction across the pool; order matches ``pages``."""
-        return self._run_batch(pages, wrapper_of, _MODE_EXTRACT)
+        return self._run_batch(pages, wrapper_of, serve=False)
 
     def serve(
         self,
@@ -416,208 +245,120 @@ class Server:
         wrapper_of: Optional[Sequence[int]] = None,
     ) -> List[List[ServedPage]]:
         """Batch serving (extraction + health) across the pool."""
-        return self._run_batch(pages, wrapper_of, _MODE_SERVE)
+        return self._run_batch(pages, wrapper_of, serve=True)
 
     # -- internals ------------------------------------------------------
-    def _spawn(self) -> int:
-        """Start one worker with a fresh task queue; returns its id."""
-        worker_id = self._next_worker_id
-        self._next_worker_id += 1
-        task_queue = self._ctx.Queue()
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(
-                worker_id,
-                self._engines,
-                self._prime,
-                self._observed,
-                task_queue,
-                self._result_queue,
-            ),
-        )
-        proc.daemon = True
-        proc.start()
-        self._task_queues[worker_id] = task_queue
-        self._workers[worker_id] = proc
-        return worker_id
+    def _processes(self) -> List[Any]:
+        """The executor's worker processes (it has no public handle)."""
+        if self._pool is None:
+            return []
+        return list(self._pool._processes.values())
 
-    def _poll(self) -> Optional[Tuple[Any, ...]]:
-        """One result-queue read; ``None`` means check liveness."""
+    def _open(self, restart: bool) -> None:
+        """Fork a primed pool, again until every worker reports; each
+        replacement spends one unit of the restart budget."""
+        while True:
+            if restart:
+                self._kill()
+                self.restarts += 1
+                self.obs.count("server.worker_restarts")
+                if self.restarts > _MAX_RESTARTS:
+                    self._closed = True
+                    raise RuntimeError(
+                        f"Server exceeded {_MAX_RESTARTS} worker restarts"
+                    )
+            ctx = multiprocessing.get_context("fork")
+            barrier = ctx.Barrier(self.jobs)
+            self._pool = ProcessPoolExecutor(
+                self.jobs,
+                mp_context=ctx,
+                initializer=_init_worker,
+                initargs=(self._engines, self._prime, self._observed, barrier),
+            )
+            reports = self._broadcast(final=False)
+            for report in reports:
+                self._on_report("primed", report)
+            if len(reports) == self.jobs:
+                return
+            restart = True
+
+    def _broadcast(self, final: bool) -> List[_Report]:
+        """A :func:`_report` from each worker that answers within the
+        stall window (a broken or stalled pool answers with fewer)."""
+        assert self._pool is not None
         try:
-            message: Tuple[Any, ...] = self._result_queue.get(
-                timeout=_POLL_SECONDS
-            )
-        except Empty:
-            return None
-        return message
+            futures = [
+                self._pool.submit(_report, final) for _ in range(self.jobs)
+            ]
+        except BrokenProcessPool:
+            return []
+        done, _ = wait(futures, timeout=_STALL_SECONDS)
+        answered = [f for f in futures if f in done and f.exception() is None]
+        return [future.result() for future in answered]
 
-    def _reap(self) -> None:
-        """Respawn dead workers; requeue whatever they were chewing on.
+    def _kill(self) -> None:
+        """SIGKILL every worker, then shut the executor down (its join
+        would block forever on a stopped worker)."""
+        for proc in self._processes():
+            proc.kill()
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
 
-        A dead worker's in-flight chunk goes back to the *front* of the
-        pending deque (retry first), and its replacement gets a fresh
-        task queue — a chunk sitting in the dead worker's queue can
-        therefore never be delivered twice.  A chunk from an aborted
-        earlier batch (stale epoch) is simply dropped.
-        """
-        for worker_id in sorted(self._workers):
-            proc = self._workers[worker_id]
-            if proc.is_alive():
-                continue
-            del self._workers[worker_id]
-            del self._task_queues[worker_id]
-            self._primed.discard(worker_id)
-            in_flight = self._busy.pop(worker_id, None)
-            if in_flight is not None:
-                epoch, chunk_id = in_flight
-                if epoch == self._epoch and chunk_id not in self._completed:
-                    self._pending.appendleft(chunk_id)
-            self.restarts += 1
-            self.obs.count("server.worker_restarts")
-            if self.restarts > self.max_restarts:
-                self._abort()
-                raise RuntimeError(
-                    f"Server exceeded {self.max_restarts} worker restarts"
-                )
-            replacement = self._spawn()
-            self.worker_stats.setdefault(replacement, {})["respawned_for"] = (
-                worker_id
-            )
-
-    def _rebuild_pool(self) -> None:
-        """Tear the whole pool down and bring it back on fresh queues.
-
-        The stall recovery: when every channel goes silent for a whole
-        window, the likeliest causes are a lost task message or a
-        *poisoned result queue* — a worker killed between writing its
-        message bytes and releasing the queue's shared write lock
-        leaves that semaphore held forever, wedging every other worker.
-        Per-worker respawn cannot fix either (the replacement inherits
-        the same result queue), so: SIGKILL every worker, swap in a
-        fresh result queue, respawn the pool, and requeue whatever was
-        in flight.  Costs one re-prime and one unit of the restart
-        budget — a wedge that persists across ``max_restarts`` rebuilds
-        raises rather than looping.
-        """
-        self.obs.count("server.pool_rebuilds")
-        for worker_id in list(self._workers):
-            proc = self._workers.pop(worker_id)
-            if proc.is_alive():
-                # SIGKILL, not SIGTERM: a wedged (or stopped) worker may
-                # never get to deliver a catchable signal.
-                proc.kill()
-            proc.join()
-            self._task_queues.pop(worker_id, None)
-            self._primed.discard(worker_id)
-            in_flight = self._busy.pop(worker_id, None)
-            if in_flight is not None:
-                epoch, chunk_id = in_flight
-                if epoch == self._epoch and chunk_id not in self._completed:
-                    self._pending.appendleft(chunk_id)
-        self.restarts += 1
-        if self.restarts > self.max_restarts:
-            self._abort()
-            raise RuntimeError(
-                f"Server exceeded {self.max_restarts} worker restarts"
-            )
-        self._result_queue = self._ctx.Queue()
-        for _ in range(self.jobs):
-            self._spawn()
-
-    def _abort(self) -> None:
-        """Hard-stop every worker (restart-budget exhausted)."""
-        self._closed = True
-        for proc in self._workers.values():
-            if proc.is_alive():
-                proc.kill()
-            proc.join()
-        self._workers.clear()
-        self._task_queues.clear()
-        self._busy.clear()
-
-    def _on_primed(
-        self, worker_id: int, prime_pages: int, kernel_stats: Dict[str, Any]
-    ) -> None:
-        self._primed.add(worker_id)
+    def _on_report(self, phase: str, report: _Report) -> None:
+        """File one worker's ``primed`` or ``final`` report."""
+        pid, prime_pages, stats_doc, kernel_stats = report
+        if phase == "primed":
+            self._worker_ids[pid] = len(self.worker_stats)
+        worker_id = self._worker_ids[pid]
         stats = self.worker_stats.setdefault(worker_id, {})
         stats["prime_pages"] = prime_pages
-        stats["primed"] = kernel_stats
+        stats[phase] = kernel_stats
         obs = self.obs
-        if obs.enabled:
-            obs.gauge(
-                f"server.worker.{worker_id}.prime_pages", float(prime_pages)
-            )
-            for cache, cache_stats in kernel_stats.items():
-                rate = cache_stats.get("hit_rate")
-                if rate is not None:
-                    obs.gauge(
-                        f"server.worker.{worker_id}.primed.{cache}.hit_rate",
-                        float(rate),
-                    )
+        if stats_doc is not None and isinstance(obs, Observer):
+            obs.merge_stats(stats_doc)
+        if not obs.enabled:
+            return
+        prefix = f"server.worker.{worker_id}"
+        obs.gauge(f"{prefix}.prime_pages", float(prime_pages))
+        for cache, cache_stats in kernel_stats.items():
+            rate = cache_stats.get("hit_rate")
+            if rate is not None:
+                obs.gauge(f"{prefix}.{phase}.{cache}.hit_rate", float(rate))
 
-    def _on_final_stats(
-        self,
-        worker_id: int,
-        stats_doc: Optional[Dict[str, Any]],
-        kernel_stats: Dict[str, Any],
-    ) -> None:
-        stats = self.worker_stats.setdefault(worker_id, {})
-        stats["final"] = kernel_stats
-        obs = self.obs
-        if stats_doc is not None:
-            merge = getattr(obs, "merge_stats", None)
-            if merge is not None:
-                merge(stats_doc)
-        if obs.enabled:
-            for cache, cache_stats in kernel_stats.items():
-                rate = cache_stats.get("hit_rate")
-                if rate is not None:
-                    obs.gauge(
-                        f"server.worker.{worker_id}.final.{cache}.hit_rate",
-                        float(rate),
-                    )
+    def _run_chunks(
+        self, serve: bool, chunks: Dict[int, _Chunk]
+    ) -> Iterator[Tuple[int, _Payload]]:
+        """Submit ``chunks``; yield ``(index, payload)`` as each finishes.
 
-    def _dispatch(self) -> None:
-        """Hand one pending chunk to every idle worker."""
-        for worker_id in sorted(self._workers):
-            if worker_id in self._busy:
-                continue
-            chunk_id: Optional[int] = None
-            while self._pending:
-                candidate = self._pending.popleft()
-                if candidate not in self._completed:
-                    chunk_id = candidate
-                    break
-            if chunk_id is None:
-                return
-            self._task_queues[worker_id].put(
-                (self._epoch, chunk_id, self._mode, self._chunks[chunk_id])
-            )
-            self._busy[worker_id] = (self._epoch, chunk_id)
-
-    def _on_done(
-        self,
-        worker_id: int,
-        epoch: int,
-        chunk_id: int,
-        payload: List[List[Any]],
-    ) -> None:
-        if self._busy.get(worker_id) == (epoch, chunk_id):
-            del self._busy[worker_id]
-        if epoch != self._epoch:
-            return  # chunk from a batch aborted by an error: drop it
-        if chunk_id in self._completed:
-            return  # a retried chunk finished twice: identical, drop it
-        self._completed.add(chunk_id)
-        start = self._chunk_starts[chunk_id]
-        for offset, page_results in enumerate(payload):
-            self._slots[start + offset] = page_results
+        Stops early, leaving the rest unyielded, when the pool breaks or
+        finishes nothing for a whole stall window.  Nothing is cancelled:
+        on Python 3.11 a cancelled future still queued when the pool
+        breaks crashes the executor's manager thread.
+        """
+        assert self._pool is not None
+        try:
+            futures = {
+                self._pool.submit(_run_chunk, serve, chunk): index
+                for index, chunk in chunks.items()
+            }
+            waiting = set(futures)
+            while waiting:
+                finished, waiting = wait(
+                    waiting, _STALL_SECONDS, return_when=FIRST_COMPLETED
+                )
+                if not finished:
+                    return
+                for future in finished:
+                    yield futures[future], future.result()
+        except BrokenProcessPool:
+            return
 
     def _run_batch(
         self,
         pages: Sequence[Tuple[str, str]],
         wrapper_of: Optional[Sequence[int]],
-        mode: str,
+        serve: bool,
     ) -> List[List[Any]]:
         if self._closed:
             raise RuntimeError("Server is closed")
@@ -629,62 +370,21 @@ class Server:
         self.start()
         obs = self.obs
         with obs.span("server.batch"):
-            # New epoch: anything still in flight from an aborted batch
-            # will be recognized as stale and discarded on arrival.
-            self._epoch += 1
-            size = self.chunksize or auto_chunksize(len(pages), self.jobs)
-            tasks: List[_PageTask] = [
-                (markup, query, wrapper_ids)
-                for (markup, query), wrapper_ids in zip(pages, assignments)
-            ]
-            self._mode = mode
-            self._chunks = [
+            size = auto_chunksize(len(pages), self.jobs)
+            obs.gauge("server.chunksize", float(size))
+            tasks: List[_PageTask] = list(zip(pages, assignments))
+            chunks = [
                 tuple(tasks[start : start + size])
                 for start in range(0, len(tasks), size)
             ]
-            self._chunk_starts = list(range(0, len(tasks), size))
-            self._pending = deque(range(len(self._chunks)))
-            self._completed = set()
-            self._slots = [None] * len(pages)
-            obs.gauge("server.chunksize", float(size))
-            stalled = 0
-            while len(self._completed) < len(self._chunks):
-                self._dispatch()
-                message = self._poll()
-                if message is None:
-                    stalled += 1
-                    if stalled >= _STALL_POLLS:
-                        stalled = 0
-                        self._rebuild_pool()
-                        continue
-                    self._reap()
-                    continue
-                stalled = 0
-                kind = message[0]
-                if kind == "done":
-                    self._on_done(
-                        message[1], message[2], message[3], message[4]
-                    )
-                elif kind == "error":
-                    self._busy.pop(message[1], None)
-                    if message[2] != self._epoch:
-                        continue  # failure of an already-aborted batch
-                    failure = RuntimeError(
-                        f"server worker {message[1]} failed on chunk "
-                        f"{message[3]}:\n{message[4]}"
-                    )
-                    # A too-deep page is the caller's input error: keep
-                    # its type, with the worker traceback as the cause.
-                    if message[5] is not None:
-                        raise NestingDepthError(message[5]) from failure
-                    raise failure
-                elif kind == "primed":
-                    self._on_primed(message[1], message[2], message[3])
-            obs.count("serve.pages", len(self._slots))
-            results: List[List[Any]] = []
-            for slot in self._slots:
-                assert slot is not None  # every chunk completed exactly once
-                results.append(slot)
-            self._slots = []
-            self._chunks = []
-            return results
+            done: Dict[int, _Payload] = {}
+            while True:
+                todo = {
+                    i: chunk for i, chunk in enumerate(chunks) if i not in done
+                }
+                done.update(self._run_chunks(serve, todo))
+                if len(done) == len(chunks):
+                    break
+                self._open(restart=True)
+            obs.count("serve.pages", len(pages))
+            return [page for index in sorted(done) for page in done[index]]

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import _split_page_arg, main
 from repro.obs import read_jsonl
+from repro.perf.server import auto_chunksize
 from repro.testbed import load_engine_pages
 
 
@@ -123,7 +124,7 @@ class TestExtract:
         serial = json.loads(capsys.readouterr().out)
         assert main(
             ["extract", "--json", "-w", workspace["wrapper"],
-             "--jobs", "2", "--chunksize", "1", *page_args]
+             "--jobs", "2", *page_args]
         ) == 0
         pooled = json.loads(capsys.readouterr().out)
         strip = lambda payload: [
@@ -208,37 +209,9 @@ class TestServe:
         # the pooled report documents the warm pool it ran on
         assert b["pool"]["workers"] == 2
         assert b["pool"]["restarts"] == 0
-        assert b["pool"]["chunksize"] >= 1
+        # the report records the chunk size auto_chunksize chose
+        assert b["pool"]["chunksize"] == auto_chunksize(len(page_args), 2)
         assert "pool" not in a
-
-    def test_serve_chunksize_flag_matches_serial(
-        self, workspace, tmp_path, capsys
-    ):
-        main(["induce", "-o", workspace["wrapper"], *workspace["samples"]])
-        capsys.readouterr()
-        serial = tmp_path / "serial2.json"
-        chunked = tmp_path / "chunked.json"
-        page_args = [
-            f"{workspace['new_page']}:{workspace['new_query']}",
-            *workspace["samples"][:3],
-        ]
-        assert main(
-            ["serve", "-w", workspace["wrapper"], "--json", str(serial),
-             "--pages", *page_args]
-        ) == 0
-        assert main(
-            ["serve", "-w", workspace["wrapper"], "--json", str(chunked),
-             "--jobs", "2", "--chunksize", "1", "--pages", *page_args]
-        ) == 0
-        capsys.readouterr()
-        a = json.loads(serial.read_text())
-        b = json.loads(chunked.read_text())
-        strip = lambda doc: [
-            {k: entry[k] for k in ("page", "sections", "records")}
-            for entry in doc["pages"]
-        ]
-        assert strip(a) == strip(b)
-        assert b["pool"]["chunksize"] == 1
 
     def test_serve_without_pages_fails(self, workspace, capsys):
         main(["induce", "-o", workspace["wrapper"], *workspace["samples"]])

@@ -236,6 +236,32 @@ def test_mp01_initializer_is_a_worker_entry(tmp_path):
     assert "repro.pipeline.init.STATE" in findings[0].message
 
 
+def test_mp01_executor_initializer_is_a_worker_entry(tmp_path):
+    path = write_module(
+        tmp_path,
+        "repro/pipeline/executor.py",
+        """\
+        from concurrent.futures import ProcessPoolExecutor
+
+        STATE = []
+
+        def _init(wrappers):
+            STATE.extend(wrappers)
+
+        def _worker(task):
+            return task
+
+        def run(tasks, wrappers):
+            with ProcessPoolExecutor(initializer=_init, initargs=(wrappers,)) as pool:
+                return [pool.submit(_worker, task).result() for task in tasks]
+        """,
+    )
+    findings = analyze_paths([str(path)], [ForkSafetyRule(allowlist={})])
+    assert rules_of(findings) == {"MP01"}
+    assert "repro.pipeline.executor.STATE" in findings[0].message
+    assert "via initializer" in findings[0].message
+
+
 def test_mp01_process_target_is_a_worker_entry(tmp_path):
     # a long-lived Process (the Server pool shape) is a dispatch too,
     # even when constructed through a get_context() factory handle
@@ -265,14 +291,21 @@ def test_mp01_process_target_is_a_worker_entry(tmp_path):
 
 def test_registry_entrypoints_seed_worker_entries():
     # the Server worker entry points are declared in the registry; the
-    # call graph must treat them as worker entries even though the
-    # Process construction site could stop resolving statically
+    # call graph must treat them as worker entries, and must also find
+    # them on its own: the initializer at the executor's construction
+    # site, the submitted functions through the self._pool handle
     from repro.analysis.registry import POOL_WORKER_ENTRYPOINTS
 
     graph = build_call_graph(build_project_model(project_of(SRC_REPRO).modules))
     for qualname in POOL_WORKER_ENTRYPOINTS:
         assert qualname in graph.worker_entries, qualname
-    assert "repro.perf.server._worker_main" in graph.worker_entries
+    for name, via in (
+        ("_init_worker", "Server._open via initializer"),
+        ("_run_chunk", "Server._run_chunks via submit"),
+        ("_report", "Server._broadcast via submit"),
+    ):
+        entry = graph.worker_entries[f"repro.perf.server.{name}"]
+        assert entry == f"repro.perf.server.{via}", entry
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +339,32 @@ def test_mp02_lambda_and_bound_method_callables(tmp_path):
     messages = " | ".join(f.message for f in findings)
     assert "lambda" in messages
     assert "bound method 'runner.work'" in messages
+
+
+def test_mp02_lambda_submitted_to_an_executor_attribute(tmp_path):
+    # the Server shape: the pool lives on self and another method submits
+    path = write_module(
+        tmp_path,
+        "repro/pipeline/pick.py",
+        """\
+        import concurrent.futures
+
+        def _worker(task):
+            return task
+
+        class Runner:
+            def start(self):
+                self._pool = concurrent.futures.ProcessPoolExecutor()
+
+            def run(self, task):
+                ok = self._pool.submit(_worker, task)
+                return ok, self._pool.submit(lambda t: t + 1, task)
+        """,
+    )
+    findings = analyze_paths([str(path)], [PickleSafetyRule()])
+    assert rules_of(findings) == {"MP02"}
+    assert len(findings) == 1
+    assert "lambda shipped to pool submit()" in findings[0].message
 
 
 def test_mp02_lock_in_payload(tmp_path):
@@ -528,9 +587,10 @@ def test_flow_rules_fire_on_real_memos_without_allowlist():
     assert "repro.perf.kernels.TREE_MEMO" in globals_hit
     assert "repro.perf.kernels.RECORD_MEMO" in globals_hit
     # the persistent-Server worker path reaches the DINR health memo
-    # (priming runs serve_index); registry-declared entry points keep
-    # it covered even though the Process target ships via a context
+    # (priming runs serve_index), and the worker state the executor
+    # initializer fills is a registered global like the memos
     assert "repro.perf.kernels.DINR_MEMO" in globals_hit
+    assert "repro.perf.server._WORKER" in globals_hit
 
 
 def test_registry_replaces_det01_pragmas():

@@ -9,12 +9,7 @@ from repro.core.mse import build_wrapper
 from repro.core.verify import _section_dinr_key, check_wrapper
 from repro.htmlmod import MAX_NESTING_DEPTH, NestingDepthError, parse_html
 from repro.perf.kernels import DINR_MEMO, clear_kernel_caches
-from repro.perf.serve import (
-    PageIndex,
-    build_page_index,
-    compile_wrapper,
-    extract_many,
-)
+from repro.perf.serve import PageIndex, build_page_index, compile_wrapper
 from repro.render.layout import render_page
 from tests.helpers import (
     all_leaf_line_range,
@@ -153,28 +148,6 @@ class TestCompiledParity:
         assert extraction_doc(served.extraction) == extraction_doc(
             engine.extract(markup, query)
         )
-
-
-# -- batch serving -----------------------------------------------------------
-
-
-class TestExtractMany:
-    def test_jobs_match_serial(self, engine, compiled):
-        pages = unseen_pages()
-        serial = extract_many(pages, [compiled], jobs=1)
-        fanned = extract_many(pages, [engine], jobs=2)
-        assert [
-            [extraction_doc(e) for e in per_page] for per_page in serial
-        ] == [[extraction_doc(e) for e in per_page] for per_page in fanned]
-
-    def test_wrapper_of_restricts_pages(self, engine, compiled):
-        pages = unseen_pages()[:2]
-        results = extract_many(pages, [compiled, compiled], wrapper_of=[1, 0])
-        assert all(len(per_page) == 1 for per_page in results)
-
-    def test_wrapper_of_length_mismatch(self, compiled):
-        with pytest.raises(ValueError):
-            extract_many(unseen_pages()[:2], [compiled], wrapper_of=[0])
 
 
 # -- process-wide caches -----------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import os
 import signal
+import time
 from dataclasses import asdict
 
 import pytest
@@ -10,7 +11,8 @@ import pytest
 from repro.core.mse import build_wrapper
 from repro.core.verify import check_wrapper
 from repro.htmlmod import NestingDepthError
-from repro.perf.serve import compile_wrapper, extract_many
+from repro.obs import NULL_OBSERVER
+from repro.perf.serve import compile_wrapper
 from repro.perf.server import Server, auto_chunksize
 from tests.helpers import make_records, sample_pages, simple_result_page
 
@@ -139,12 +141,6 @@ class TestLifecycle:
         server.close()
         assert server.workers_alive == 0
 
-    def test_join_is_close(self, engine):
-        server = Server([engine], jobs=1)
-        server.start()
-        server.join()
-        assert server.workers_alive == 0
-
     def test_close_is_idempotent_and_safe_before_start(self, engine):
         server = Server([engine])
         server.close()
@@ -162,10 +158,6 @@ class TestLifecycle:
         with pytest.raises(ValueError, match="at least one wrapper"):
             Server([])
 
-    def test_chunksize_validated(self, engine):
-        with pytest.raises(ValueError, match="chunksize"):
-            Server([engine], chunksize=0)
-
     def test_empty_batch_short_circuits(self, engine):
         with Server([engine], jobs=2) as server:
             assert server.extract([]) == []
@@ -176,9 +168,9 @@ class TestLifecycle:
         serial = serial_extract_docs(engine, pages)
         with Server([engine], jobs=2) as server:
             first = server.extract(pages)
-            pids = sorted(p.pid for p in server._workers.values())
+            pids = sorted(p.pid for p in server._processes())
             second = server.extract(list(reversed(pages)))
-            assert sorted(p.pid for p in server._workers.values()) == pids
+            assert sorted(p.pid for p in server._processes()) == pids
         assert pooled_extract_docs(first) == serial
         assert pooled_extract_docs(second) == list(reversed(serial))
 
@@ -194,12 +186,10 @@ class TestParity:
         serial = serial_extract_docs(engine, pages)
         fast = [[extraction_doc(compiled.extract(m, q))] for m, q in pages]
         assert fast == serial
-        for jobs, chunksize in ((1, None), (2, None), (2, 1), (3, 2)):
-            with Server([engine], jobs=jobs, chunksize=chunksize) as server:
-                assert pooled_extract_docs(server.extract(pages)) == serial, (
-                    jobs,
-                    chunksize,
-                )
+        # 9 pages: chunks of 3, 2 and 1 page at jobs 1, 2 and 3
+        for jobs in (1, 2, 3):
+            with Server([engine], jobs=jobs) as server:
+                assert pooled_extract_docs(server.extract(pages)) == serial, jobs
 
     def test_serve_matches_check_wrapper(self, engine):
         pages = unseen_pages()
@@ -208,7 +198,7 @@ class TestParity:
             + json.dumps(check_wrapper(engine, m, q).to_obj(), sort_keys=True)
             for m, q in pages
         ]
-        with Server([engine], jobs=2, chunksize=2) as server:
+        with Server([engine], jobs=2) as server:
             served = server.serve(pages)
         assert [served_doc(page[0]) for page in served] == reference
 
@@ -237,7 +227,7 @@ class TestParity:
         """Result order matches page order on every run and chunking."""
         pages = unseen_pages() * 3
         serial = serial_extract_docs(engine, pages)
-        with Server([engine], jobs=3, chunksize=1) as server:
+        with Server([engine], jobs=3) as server:
             for _ in range(2):
                 assert pooled_extract_docs(server.extract(pages)) == serial
 
@@ -249,39 +239,89 @@ class TestCrashRecovery:
     def test_respawn_no_lost_or_duplicate_pages(self, engine):
         pages = unseen_pages() * 2
         serial = serial_extract_docs(engine, pages)
-        with Server([engine], jobs=2, chunksize=1) as server:
-            victim = next(iter(server._workers.values()))
+        with Server([engine], jobs=2) as server:
+            victim = server._processes()[0]
             os.kill(victim.pid, signal.SIGKILL)
             got = server.extract(pages)
             assert server.restarts >= 1
             assert server.workers_alive == 2
             assert pooled_extract_docs(got) == serial
-            respawned = [
-                stats
-                for stats in server.worker_stats.values()
-                if "respawned_for" in stats
-            ]
-            assert respawned
+            # the replacement workers reported their own priming
+            assert len(server.worker_stats) > 2
 
-    def test_stalled_worker_is_killed_and_replaced(self, engine, monkeypatch):
-        """A silent-but-alive worker (wedged IPC) cannot deadlock a batch."""
+    def test_worker_killed_mid_chunk_loses_no_page(
+        self, engine, monkeypatch, tmp_path
+    ):
+        """A worker that dies halfway through a chunk: the unfinished
+        chunks are resubmitted, and every page arrives once, in order."""
         import repro.perf.server as server_mod
 
-        monkeypatch.setattr(server_mod, "_STALL_POLLS", 5)
+        pages = unseen_pages() * 2  # 18 pages: chunks of 3 on 2 workers
+        serial = serial_extract_docs(engine, pages)
+        marker = str(tmp_path / "killed")
+        real_index = server_mod.build_page_index
+        calls = []  # per worker: each forked copy counts its own pages
+
+        def index_or_die(markup, query="", obs=NULL_OBSERVER):
+            calls.append(query)
+            if len(calls) == 2:  # the second page of a worker's chunk
+                try:
+                    os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+                except FileExistsError:
+                    pass  # another worker already died once
+                else:
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return real_index(markup, query, obs=obs)
+
+        monkeypatch.setattr(server_mod, "build_page_index", index_or_die)
+        with Server([engine], jobs=2) as server:
+            got = server.extract(pages)
+            assert server.restarts == 1
+            assert server.workers_alive == 2
+        assert os.path.exists(marker)
+        assert pooled_extract_docs(got) == serial
+
+    def test_stalled_worker_is_killed_and_replaced(self, engine, monkeypatch):
+        """Silent-but-alive workers (wedged IPC) cannot deadlock a batch.
+
+        Every worker is stopped: the workers share one call queue, so a
+        stopped idle worker that holds no chunk need not stall a batch.
+        """
+        import repro.perf.server as server_mod
+
+        monkeypatch.setattr(server_mod, "_STALL_SECONDS", 1.0)
         pages = unseen_pages()
         serial = serial_extract_docs(engine, pages)
-        with Server([engine], jobs=2, chunksize=1) as server:
-            victim = next(iter(server._workers.values()))
-            os.kill(victim.pid, signal.SIGSTOP)
+        with Server([engine], jobs=2) as server:
+            for proc in server._processes():
+                os.kill(proc.pid, signal.SIGSTOP)
             got = server.extract(pages)
             assert server.restarts >= 1
             assert server.workers_alive == 2
             assert pooled_extract_docs(got) == serial
 
-    def test_restart_budget_enforced(self, engine):
-        server = Server([engine], jobs=1, max_restarts=0)
+    def test_close_is_bounded_with_a_stopped_worker(self, engine, monkeypatch):
+        """close() gives up on a stopped worker after one stall window;
+        joining it, as a plain executor shutdown does, never returns."""
+        import repro.perf.server as server_mod
+
+        monkeypatch.setattr(server_mod, "_STALL_SECONDS", 2.0)
+        server = Server([engine], jobs=2).start()
+        victim = server._processes()[0]
+        os.kill(victim.pid, signal.SIGSTOP)
+        began = time.monotonic()
+        server.close()
+        assert time.monotonic() - began < 2 * server_mod._STALL_SECONDS
+        assert server.workers_alive == 0
+        assert not victim.is_alive()
+
+    def test_restart_budget_enforced(self, engine, monkeypatch):
+        import repro.perf.server as server_mod
+
+        monkeypatch.setattr(server_mod, "_MAX_RESTARTS", 0)
+        server = Server([engine], jobs=1)
         server.start()
-        victim = next(iter(server._workers.values()))
+        victim = server._processes()[0]
         os.kill(victim.pid, signal.SIGKILL)
         with pytest.raises(RuntimeError, match="worker restarts"):
             server.extract(unseen_pages())
@@ -293,16 +333,21 @@ class TestCrashRecovery:
 
 class TestErrors:
     def test_worker_exception_raises_with_traceback(self, engine):
+        """A worker exception keeps the type serial extraction raises,
+        with the worker traceback as its cause."""
+        with pytest.raises(TypeError):
+            engine.extract(None, "boom")
         with Server([engine], jobs=1) as server:
-            with pytest.raises(RuntimeError, match="failed on chunk"):
+            with pytest.raises(TypeError) as info:
                 server.extract([(None, "boom")])
+        assert "Traceback" in str(info.value.__cause__)
 
     def test_pool_reusable_after_error(self, engine):
         """An aborted batch's stale chunks never leak into the next one."""
         pages = unseen_pages()
         serial = serial_extract_docs(engine, pages)
-        with Server([engine], jobs=2, chunksize=1) as server:
-            with pytest.raises(RuntimeError, match="failed on chunk"):
+        with Server([engine], jobs=2) as server:
+            with pytest.raises(TypeError):
                 server.extract([(None, "boom")] + pages)
             assert pooled_extract_docs(server.extract(pages)) == serial
 
@@ -317,7 +362,7 @@ class TestNestingDepth:
             + json.dumps(check_wrapper(engine, m, q).to_obj(), sort_keys=True)
             for m, q in pages
         ]
-        with Server([engine], jobs=2, chunksize=1) as server:
+        with Server([engine], jobs=2) as server:
             with pytest.raises(NestingDepthError, match="nests deeper") as info:
                 server.serve([pages[0], DEEP_PAGE])
             assert "\n" not in str(info.value)
@@ -350,29 +395,6 @@ class TestTelemetry:
             assert "tree_memo" in stats["primed"]
             assert "dinr_memo" in stats["final"]
 
-    def test_close_keeps_stats_of_workers_that_exit_during_a_poll(
-        self, engine, monkeypatch
-    ):
-        """A worker that answers the shutdown sentinel and exits between
-        an empty poll and the liveness check still reports its stats."""
-        server = Server([engine], jobs=2).start()
-        real_poll = Server._poll
-        polls = []
-
-        def poll_after_workers_exit(self):
-            polls.append(None)
-            if len(polls) == 1:
-                for proc in self._workers.values():
-                    proc.join(timeout=30)
-                return None
-            return real_poll(self)
-
-        monkeypatch.setattr(Server, "_poll", poll_after_workers_exit)
-        server.close()
-        assert set(server.worker_stats) == {0, 1}
-        for stats in server.worker_stats.values():
-            assert "dinr_memo" in stats["final"]
-
     def test_observer_merges_worker_metrics(self, engine):
         from repro.obs import Observer
 
@@ -392,30 +414,3 @@ class TestTelemetry:
             for name in gauges
         )
         assert metrics["counters"]["serve.pages"] == len(pages)
-
-
-# -- the extract_many shim ----------------------------------------------------
-
-
-class TestExtractManyShim:
-    def test_jobs1_never_touches_the_pool(self, engine, monkeypatch):
-        """The serial short-circuit must not even construct a Server."""
-        import repro.perf.server as server_mod
-
-        def explode(*args, **kwargs):
-            raise AssertionError("jobs=1 must not build a Server")
-
-        monkeypatch.setattr(server_mod, "Server", explode)
-        pages = unseen_pages()
-        serial = serial_extract_docs(engine, pages)
-        got = extract_many(pages, [engine], jobs=1)
-        assert pooled_extract_docs(got) == serial
-        # A single page also short-circuits, whatever jobs says.
-        got = extract_many(pages[:1], [engine], jobs=4)
-        assert pooled_extract_docs(got) == serial[:1]
-
-    def test_pooled_shim_matches_serial(self, engine):
-        pages = unseen_pages()
-        serial = serial_extract_docs(engine, pages)
-        got = extract_many(pages, [engine], jobs=2, chunksize=2)
-        assert pooled_extract_docs(got) == serial
