@@ -26,7 +26,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.mse import MSE, MSEConfig
 from repro.evalkit.matching import grade_page
@@ -296,6 +296,29 @@ def _parallel_worker(
     return result, (obs.stats() if observed else None)
 
 
+def _evaluated(
+    subset: str,
+    limit: Optional[int],
+    config: Optional[MSEConfig],
+    obs: ObserverLike,
+    jobs: int,
+) -> Iterator[Tuple[EngineResult, Optional[Dict[str, Any]]]]:
+    """``(result, worker stats)`` per engine, in engine-id order.
+
+    Serially the engine records into ``obs`` itself and the stats are
+    None; with ``jobs > 1`` a process pool maps the engines and each
+    worker's observer document comes back for merging.
+    """
+    if jobs <= 1:
+        for engine_pages in iter_corpus(subset, limit=limit):
+            yield evaluate_engine(engine_pages, config, obs=obs), None
+        return
+    ids = engine_ids(subset)[:limit]
+    tasks = [(engine_id, config, obs.enabled) for engine_id in ids]
+    with ProcessPoolExecutor(min(jobs, max(1, len(tasks)))) as pool:
+        yield from pool.map(_parallel_worker, tasks)
+
+
 def run_evaluation(
     subset: str = "all",
     limit: Optional[int] = None,
@@ -312,25 +335,11 @@ def run_evaluation(
     stats are folded into ``obs`` in the same order.
     """
     run = EvaluationRun()
-    if jobs > 1:
-        ids = engine_ids(subset)
-        if limit is not None:
-            ids = ids[:limit]
-        tasks = [(engine_id, config, obs.enabled) for engine_id in ids]
-        with ProcessPoolExecutor(min(jobs, max(1, len(tasks)))) as pool:
-            for result, stats in pool.map(_parallel_worker, tasks):
-                run.engines.append(result)
-                run.rows.merge(result.rows)
-                if stats is not None:
-                    obs.merge_stats(stats)
-                if progress:
-                    _print_progress(result)
-        return run
-
-    for engine_pages in iter_corpus(subset, limit=limit):
-        result = evaluate_engine(engine_pages, config, obs=obs)
+    for result, stats in _evaluated(subset, limit, config, obs, jobs):
         run.engines.append(result)
         run.rows.merge(result.rows)
+        if stats is not None:
+            obs.merge_stats(stats)
         if progress:
             _print_progress(result)
     return run

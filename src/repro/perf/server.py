@@ -17,10 +17,11 @@ exceptions arrive with their own type and the worker traceback as
 Only what the executor lacks is added.  A barrier sized to the pool
 makes ``jobs`` report tasks reach ``jobs`` distinct workers, for the
 per-worker kernel stats after priming and at close and the observer
-documents merged through :meth:`Observer.merge_stats`.  And every worker
-is SIGKILLed before ``shutdown(wait=True)``, which otherwise blocks
-forever on a stopped one.  The flow rules (MP01/MP02) check the worker
-functions, declared in
+documents merged through :meth:`Observer.merge_stats`.  Every worker is
+SIGKILLed before ``shutdown(wait=True)``, which otherwise blocks forever
+on a stopped one; and the parent drops its unused ends of the executor's
+queues, without which a stuck feeder or a half-sent result blocks it too.
+The flow rules (MP01/MP02) check the worker functions, declared in
 :data:`repro.analysis.registry.POOL_WORKER_ENTRYPOINTS`.
 """
 
@@ -31,6 +32,7 @@ import multiprocessing
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from itertools import islice
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.model import PageExtraction
@@ -279,6 +281,13 @@ class Server:
             for report in reports:
                 self._on_report("primed", report)
             if len(reports) == self.jobs:
+                # Only workers use these ends.  Without the parent's, a
+                # feeder stuck writing to dead workers fails (CPython
+                # gh-94777) and a half-sent result reads as EOF, so neither
+                # hangs shutdown.  Every worker idles: no thread races us.
+                pool: Any = self._pool  # the queues have no public handle
+                pool._call_queue._reader.close()
+                pool._result_queue._writer.close()
                 return
             restart = True
 
@@ -329,28 +338,28 @@ class Server:
     def _run_chunks(
         self, serve: bool, chunks: Dict[int, _Chunk]
     ) -> Iterator[Tuple[int, _Payload]]:
-        """Submit ``chunks``; yield ``(index, payload)`` as each finishes.
-
-        Stops early, leaving the rest unyielded, when the pool breaks or
-        finishes nothing for a whole stall window.  Nothing is cancelled:
-        on Python 3.11 a cancelled future still queued when the pool
-        breaks crashes the executor's manager thread.
-        """
+        """Run ``chunks`` with one per worker plus one queued in flight;
+        yield ``(index, payload)`` as each finishes.  Stops early, leaving
+        the rest unyielded, when the pool breaks or finishes nothing for a
+        whole stall window.  An error leaves only the chunks in flight to
+        run, so nothing is cancelled (on Python 3.11, cancelling a future
+        still queued when the pool breaks crashes the manager thread)."""
         assert self._pool is not None
+        todo = iter(chunks.items())
+        running: Dict[Any, int] = {}  # future -> chunk index
         try:
-            futures = {
-                self._pool.submit(_run_chunk, serve, chunk): index
-                for index, chunk in chunks.items()
-            }
-            waiting = set(futures)
-            while waiting:
-                finished, waiting = wait(
-                    waiting, _STALL_SECONDS, return_when=FIRST_COMPLETED
+            while True:
+                for i, chunk in islice(todo, self.jobs + 1 - len(running)):
+                    running[self._pool.submit(_run_chunk, serve, chunk)] = i
+                if not running:
+                    return
+                finished, _ = wait(
+                    running, _STALL_SECONDS, return_when=FIRST_COMPLETED
                 )
                 if not finished:
                     return
                 for future in finished:
-                    yield futures[future], future.result()
+                    yield running.pop(future), future.result()
         except BrokenProcessPool:
             return
 

@@ -88,6 +88,14 @@ def unseen_pages():
 #: a page nested past the parser's budget
 DEEP_PAGE = ("<div>" * 5000 + "deep", "deep")
 
+#: a comment that pads a page past the 64 KiB pipe buffer: the executor's
+#: queue feeder then blocks mid-write on every chunk until a worker reads
+PIPE_PAD = "<!--" + "x" * 70_000 + "-->"
+
+
+def padded(pages, pad=PIPE_PAD):
+    return [(pad + markup, query) for markup, query in pages]
+
 
 def extraction_doc(extraction):
     return json.dumps(asdict(extraction), sort_keys=True)
@@ -235,6 +243,22 @@ class TestParity:
 # -- crash recovery -----------------------------------------------------------
 
 
+def stop_every_worker_then_extract(engine, monkeypatch, pages):
+    """SIGSTOP the whole pool, then require a one-second stall window to
+    replace it and the batch to come back whole and in order."""
+    import repro.perf.server as server_mod
+
+    monkeypatch.setattr(server_mod, "_STALL_SECONDS", 1.0)
+    serial = serial_extract_docs(engine, pages)
+    with Server([engine], jobs=2) as server:
+        for proc in server._processes():
+            os.kill(proc.pid, signal.SIGSTOP)
+        got = server.extract(pages)
+        assert server.restarts >= 1
+        assert server.workers_alive == 2
+        assert pooled_extract_docs(got) == serial
+
+
 class TestCrashRecovery:
     def test_respawn_no_lost_or_duplicate_pages(self, engine):
         pages = unseen_pages() * 2
@@ -249,14 +273,20 @@ class TestCrashRecovery:
             # the replacement workers reported their own priming
             assert len(server.worker_stats) > 2
 
+    @pytest.mark.parametrize(
+        "pad", ["", PIPE_PAD], ids=["small-chunks", "chunks-over-pipe-buffer"]
+    )
     def test_worker_killed_mid_chunk_loses_no_page(
-        self, engine, monkeypatch, tmp_path
+        self, engine, monkeypatch, tmp_path, pad
     ):
         """A worker that dies halfway through a chunk: the unfinished
-        chunks are resubmitted, and every page arrives once, in order."""
+        chunks are resubmitted, and every page arrives once, in order.
+        Chunks over the pipe buffer leave the queue feeder stuck writing
+        one that no worker will read, which must not wedge the restart."""
         import repro.perf.server as server_mod
 
-        pages = unseen_pages() * 2  # 18 pages: chunks of 3 on 2 workers
+        # 18 pages: chunks of 3 on 2 workers
+        pages = padded(unseen_pages() * 2, pad)
         serial = serial_extract_docs(engine, pages)
         marker = str(tmp_path / "killed")
         real_index = server_mod.build_page_index
@@ -281,24 +311,63 @@ class TestCrashRecovery:
         assert os.path.exists(marker)
         assert pooled_extract_docs(got) == serial
 
+    def test_worker_killed_mid_result_write_loses_no_page(
+        self, engine, monkeypatch, tmp_path
+    ):
+        """A worker that dies halfway through sending a chunk's result
+        leaves the executor waiting on a message that never completes
+        (and holding a lock no other worker gets back): the stall window
+        replaces the pool, and every page arrives once, in order."""
+        import repro.perf.server as server_mod
+        from multiprocessing.connection import Connection
+
+        monkeypatch.setattr(server_mod, "_STALL_SECONDS", 1.0)
+        pages = unseen_pages() * 2
+        serial = serial_extract_docs(engine, pages)
+        marker = str(tmp_path / "killed")
+        real_index = server_mod.build_page_index
+        real_send = Connection._send
+        armed = []  # per worker: it has indexed a page of a batch
+
+        def index_and_arm(markup, query="", obs=NULL_OBSERVER):
+            armed.append(query)
+            return real_index(markup, query, obs=obs)
+
+        def send_half_then_die(conn, buf, *rest):
+            if armed:  # only a worker sending a chunk's result
+                try:
+                    os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+                except FileExistsError:
+                    pass  # one death is enough
+                else:
+                    real_send(conn, bytes(buf)[: len(buf) // 2], *rest)
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return real_send(conn, buf, *rest)
+
+        monkeypatch.setattr(server_mod, "build_page_index", index_and_arm)
+        monkeypatch.setattr(Connection, "_send", send_half_then_die)
+        with Server([engine], jobs=2) as server:
+            got = server.extract(pages)
+            assert server.restarts == 1
+            assert server.workers_alive == 2
+        assert os.path.exists(marker)
+        assert pooled_extract_docs(got) == serial
+
     def test_stalled_worker_is_killed_and_replaced(self, engine, monkeypatch):
         """Silent-but-alive workers (wedged IPC) cannot deadlock a batch.
 
         Every worker is stopped: the workers share one call queue, so a
         stopped idle worker that holds no chunk need not stall a batch.
         """
-        import repro.perf.server as server_mod
+        stop_every_worker_then_extract(engine, monkeypatch, unseen_pages())
 
-        monkeypatch.setattr(server_mod, "_STALL_SECONDS", 1.0)
-        pages = unseen_pages()
-        serial = serial_extract_docs(engine, pages)
-        with Server([engine], jobs=2) as server:
-            for proc in server._processes():
-                os.kill(proc.pid, signal.SIGSTOP)
-            got = server.extract(pages)
-            assert server.restarts >= 1
-            assert server.workers_alive == 2
-            assert pooled_extract_docs(got) == serial
+    def test_stall_with_chunks_over_the_pipe_buffer(self, engine, monkeypatch):
+        """With every worker stopped, the queue feeder blocks writing a
+        chunk larger than the pipe buffer; replacing the pool must not
+        wait for that write."""
+        stop_every_worker_then_extract(
+            engine, monkeypatch, padded(unseen_pages())
+        )
 
     def test_close_is_bounded_with_a_stopped_worker(self, engine, monkeypatch):
         """close() gives up on a stopped worker after one stall window;
@@ -350,6 +419,37 @@ class TestErrors:
             with pytest.raises(TypeError):
                 server.extract([(None, "boom")] + pages)
             assert pooled_extract_docs(server.extract(pages)) == serial
+
+    def test_error_leaves_only_the_chunks_in_flight(
+        self, engine, monkeypatch, tmp_path
+    ):
+        """An error stops the batch submitting chunks, so the next batch
+        (and close) waits behind at most the chunks already in flight,
+        not behind the rest of the aborted batch."""
+        import repro.perf.server as server_mod
+
+        log = str(tmp_path / "indexed")
+        real_index = server_mod.build_page_index
+
+        def logged_index(markup, query="", obs=NULL_OBSERVER):
+            with open(log, "a") as out:
+                out.write(f"{query}\n")
+            if query == "slow":
+                time.sleep(0.02)
+            return real_index(markup, query, obs=obs)
+
+        monkeypatch.setattr(server_mod, "build_page_index", logged_index)
+        slow = [(unseen_pages()[0][0], "slow")] * 63
+        size = auto_chunksize(1 + len(slow), 2)  # 8 chunks of 8 pages
+        with Server([engine], jobs=2) as server:
+            with pytest.raises(TypeError):
+                server.extract([(None, "boom")] + slow)
+            server.extract(unseen_pages()[:1])
+        with open(log) as lines:
+            ran = [line.strip() for line in lines].count("slow")
+        # in flight when the error came back: a chunk per worker plus
+        # one queued (the failed chunk, boom page first, among them)
+        assert ran <= (2 + 1) * size
 
 
 class TestNestingDepth:
