@@ -1,11 +1,15 @@
-"""Micro-benchmarks for the hot distance kernels (repro.perf).
+"""Micro-benchmarks for the hot kernels: distances (repro.perf) and parsing.
 
 Times each optimised kernel against its naive reference on block
 features taken from real corpus pages, checks the scores agree exactly,
 and writes per-kernel wall time, speedup and cache hit rates to
-``BENCH_kernels.json``.  Comparing these files across commits shows
-whether a change moved the kernels themselves, independently of the
-stage-level trajectory in ``BENCH_stages.json``.
+``BENCH_kernels.json``.  The ``parse`` kernel times ``parse_html``
+against the ``html.parser`` reference on one page of every engine,
+min-of-N rounds per side with the slowest round as the spread, and
+checks that both build the same DOM on every page.  Comparing these
+files across commits shows whether a change moved the kernels
+themselves, independently of the stage-level trajectory in
+``BENCH_stages.json``.
 
 Set ``REPRO_BENCH_KERNELS`` to override the output path.  Runnable as a
 pytest target (``pytest benchmarks/bench_kernels.py``) or directly
@@ -26,6 +30,7 @@ from repro.features.line_distance import text_attr_distance
 from repro.features.record_distance import RecordDistanceCache
 from repro.features.cohesion import record_diversity
 from repro.htmlmod.parser import parse_html
+from repro.htmlmod.reference import dom_outline, parse_html_reference
 from repro.perf import (
     block_fingerprint,
     clear_kernel_caches,
@@ -35,7 +40,8 @@ from repro.perf import (
 )
 from repro.render.layout import render_page
 from repro.render.linetypes import type_distance
-from repro.testbed.corpus import load_engine_pages
+from repro.testbed import TOTAL_ENGINES
+from repro.testbed.corpus import load_engine_pages, make_engine
 
 OUTPUT = os.environ.get("REPRO_BENCH_KERNELS", "BENCH_kernels.json")
 
@@ -47,6 +53,8 @@ BLOCK_SPAN = 3
 MAX_BLOCKS = 36
 #: repetitions of the diversity workload (models best_partition re-asking)
 DIVERSITY_ROUNDS = 8
+#: interleaved timing rounds of the parse kernel (one page per engine)
+PARSE_ROUNDS = 7
 
 
 def _corpus_blocks():
@@ -125,6 +133,30 @@ def _bench_diversity(blocks):
     return ref_seconds, fast_seconds
 
 
+def _parse_pages():
+    """The first result page of every corpus engine."""
+    pages = []
+    for engine_id in range(TOTAL_ENGINES):
+        engine = make_engine(engine_id)
+        pages.append(engine.result_page(engine.queries(1)[0]))
+    return pages
+
+
+def _bench_parse(pages):
+    for markup in pages:
+        assert dom_outline(parse_html(markup)) == dom_outline(
+            parse_html_reference(markup)
+        ), "parse_html built a different DOM from the html.parser reference"
+    rounds = {"reference": [], "fast": []}
+    for _ in range(PARSE_ROUNDS):
+        for side, parse in (("reference", parse_html_reference), ("fast", parse_html)):
+            start = time.perf_counter()
+            for markup in pages:
+                parse(markup)
+            rounds[side].append(time.perf_counter() - start)
+    return rounds
+
+
 def test_kernel_bench_emitted():
     blocks = _corpus_blocks()
     assert len(blocks) >= 8, "corpus slice produced too few blocks"
@@ -143,6 +175,16 @@ def test_kernel_bench_emitted():
             "speedup": ref_seconds / fast_seconds if fast_seconds else 0.0,
         }
 
+    parse_pages = _parse_pages()
+    rounds = _bench_parse(parse_pages)
+    kernels["parse"] = {
+        "reference_seconds": min(rounds["reference"]),
+        "reference_seconds_max": max(rounds["reference"]),
+        "fast_seconds": min(rounds["fast"]),
+        "fast_seconds_max": max(rounds["fast"]),
+        "speedup": min(rounds["reference"]) / min(rounds["fast"]),
+    }
+
     # The memoized tree kernel is where the ISSUE's >=2x target lives; the
     # other kernels only have to not regress (their wins are workload
     # dependent and too small to gate CI on without flakes).
@@ -157,6 +199,8 @@ def test_kernel_bench_emitted():
             "blocks": len(blocks),
             "pairs": len(pairs),
             "diversity_rounds": DIVERSITY_ROUNDS,
+            "parse_pages": len(parse_pages),
+            "parse_rounds": PARSE_ROUNDS,
         },
         "kernels": kernels,
         "caches": kernel_cache_stats(),

@@ -222,15 +222,19 @@ def render_result_page(
     :class:`Document`; ``query`` is the query string that produced the
     page (its terms are cleaned out of semi-dynamic boundary markers).
     Raises :class:`repro.htmlmod.NestingDepthError` on markup nested
-    past the parser's budget.
+    past the parser's budget.  The ``render`` span holds one child span
+    per layer: ``parse`` (markup only), ``layout`` and ``clean``.
     """
     with obs.span("render"):
         if isinstance(markup_or_document, Document):
             document = markup_or_document
         else:
-            document = parse_html(markup_or_document)
-        page = render_page(document)
-        clean_page_lines(page, query.split())
+            with obs.span("parse"):
+                document = parse_html(markup_or_document)
+        with obs.span("layout"):
+            page = render_page(document)
+        with obs.span("clean"):
+            clean_page_lines(page, query.split())
         obs.count("render.lines", len(page.lines))
     return page
 

@@ -10,7 +10,7 @@ generators can assemble pages programmatically.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 _WHITESPACE_RE = re.compile(r"\s+")
 
@@ -123,7 +123,7 @@ class Element(Node):
     def __init__(
         self,
         tag: str,
-        attrs: Optional[Dict[str, str]] = None,
+        attrs: Optional[Union[Mapping[str, str], Iterable[Tuple[str, str]]]] = None,
         children: Optional[Iterable[Node]] = None,
     ) -> None:
         super().__init__()

@@ -354,6 +354,36 @@ class TestDeepNesting:
         assert not out.exists()
 
 
+class TestMarkedSections:
+    """An unknown or nameless ``<![`` section is parsed, not crashed on."""
+
+    def _marked_page(self, workspace, tmp_path):
+        with open(workspace["new_page"], encoding="utf-8") as handle:
+            markup = handle.read()
+        page = tmp_path / "marked.html"
+        page.write_text(
+            markup.replace("<body", "<![foo]><body", 1) + "<p><![ x",
+            encoding="utf-8",
+        )
+        return f"{page}:{workspace['new_query']}"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("command", ["extract", "serve"])
+    def test_marked_section_page_exits_0(
+        self, workspace, tmp_path, capsys, command, jobs
+    ):
+        main(["induce", "-o", workspace["wrapper"], *workspace["samples"]])
+        capsys.readouterr()
+        pages = [
+            self._marked_page(workspace, tmp_path),
+            f"{workspace['new_page']}:{workspace['new_query']}",
+        ]
+        code = main([command, "-w", workspace["wrapper"], "--jobs", jobs, *pages])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "Traceback" not in captured.err
+
+
 class TestInducePipelineFlags:
     def test_jobs_and_checkpoint_resume_are_byte_identical(
         self, workspace, tmp_path, capsys
@@ -495,6 +525,26 @@ class TestTraceFlags:
         doc = read_jsonl(str(trace))
         names = {span["name"] for span in doc["spans"]}
         assert {"render", "families", "wrappers"} <= names
+
+    def test_extract_trace_splits_render_into_layers(
+        self, workspace, tmp_path, capsys
+    ):
+        main(["induce", "-o", workspace["wrapper"], *workspace["samples"]])
+        capsys.readouterr()
+        trace = tmp_path / "extract.jsonl"
+        code = main(
+            ["extract", "--trace", str(trace), "-w", workspace["wrapper"],
+             workspace["new_page"], "--query", workspace["new_query"]]
+        )
+        assert code == 0
+        spans = read_jsonl(str(trace))["spans"]
+        (render,) = [span for span in spans if span["name"] == "render"]
+        children = {
+            span["name"]: span for span in spans if span["parent"] == render["path"]
+        }
+        assert set(children) == {"parse", "layout", "clean"}
+        assert all(span["calls"] == render["calls"] for span in children.values())
+        assert sum(span["seconds"] for span in children.values()) <= render["seconds"]
 
     def test_check_stats_metrics_breakdown(self, workspace, capsys):
         main(["induce", "-o", workspace["wrapper"], *workspace["samples"]])
