@@ -31,12 +31,11 @@ from repro.features.record_distance import RecordDistanceCache
 from repro.features.cohesion import record_diversity
 from repro.htmlmod.parser import parse_html
 from repro.htmlmod.reference import dom_outline, parse_html_reference
-from repro.perf import (
-    block_fingerprint,
+from repro.perf.fingerprints import block_fingerprint, masked_attr_distance
+from repro.perf.kernels import (
     clear_kernel_caches,
     fast_forest_distance,
     kernel_cache_stats,
-    masked_attr_distance,
 )
 from repro.render.layout import render_page
 from repro.render.linetypes import type_distance

@@ -7,16 +7,16 @@ The paper uses string edit distance in two places (§4.1, §4.2):
 - between *block text attributes* viewed as strings of line-attribute
   sets, where the substitution cost is ``Dtal`` (Formula 2).
 
-Both need a generalized Levenshtein distance with a pluggable
-substitution-cost function, provided here by :func:`edit_distance`.
+Both need a Levenshtein distance with unit insertions and deletions and
+a pluggable substitution-cost function, provided here by
+:func:`edit_distance`.
 
 :func:`edit_distance` is the production kernel: it trims shared
-prefixes/suffixes before running the dynamic program and supports
-threshold early-abandon via ``cutoff`` (a banded DP).  All costs are
-assumed non-negative with ``substitution_cost(x, x) == 0`` — true of
-every cost in this codebase — which is what makes the trimming exact;
-with a custom cost the trim is verified pair-by-pair before it is
-applied, so arbitrary non-negative costs remain safe.
+prefixes/suffixes before running the dynamic program.  Substitution
+costs are assumed non-negative with ``substitution_cost(x, x) == 0`` —
+true of every cost in this codebase — which is what makes the trimming
+exact; with a custom cost the trim is verified pair-by-pair before it
+is applied, so arbitrary non-negative costs remain safe.
 :func:`edit_distance_reference` keeps the plain O(n*m) dynamic program
 as the oracle for property tests and kernel benchmarks.
 """
@@ -29,34 +29,20 @@ T = TypeVar("T")
 
 SubstCost = Callable[[T, T], float]
 
-_INF = float("inf")
-
 
 def edit_distance(
     seq1: Sequence[T],
     seq2: Sequence[T],
     substitution_cost: Optional[SubstCost] = None,
-    insertion_cost: float = 1.0,
-    deletion_cost: float = 1.0,
-    cutoff: Optional[float] = None,
 ) -> float:
     """Generalized Levenshtein distance between two sequences.
 
     ``substitution_cost(a, b)`` returns the cost of replacing ``a`` with
     ``b``; the default is 0 for equal items and 1 otherwise.  Insertions
-    and deletions have unit cost unless overridden.  All costs must be
-    non-negative.
-
-    ``cutoff`` enables threshold early-abandon: when the true distance is
-    ``>= cutoff`` the function may stop early and return *some* value
-    ``>= cutoff`` (a valid lower bound, not necessarily the exact
-    distance); when the true distance is ``< cutoff`` the exact distance
-    is returned.  Callers that only compare against a threshold keep the
-    comparison's outcome while skipping most of the DP (the computation
-    is restricted to a diagonal band of width ``cutoff / min(indel)``).
+    and deletions cost 1.  Substitution costs must be non-negative.
 
     Runs in O(len(seq1) * len(seq2)) time and O(min(len)) space, minus
-    whatever the shared-prefix/suffix trim and the band remove.
+    whatever the shared-prefix/suffix trim removes.
     """
     lo1, hi1 = 0, len(seq1)
     lo2, hi2 = 0, len(seq2)
@@ -96,104 +82,43 @@ def edit_distance(
 
     # -- degenerate remainders ------------------------------------------
     if not seq1:
-        return len(seq2) * insertion_cost
+        return float(len(seq2))
     if not seq2:
-        return len(seq1) * deletion_cost
+        return float(len(seq1))
 
     # Keep the shorter sequence in the inner dimension for O(min) space.
     if len(seq2) > len(seq1):
         seq1, seq2 = seq2, seq1
-        insertion_cost, deletion_cost = deletion_cost, insertion_cost
         inner_subst = _flip(substitution_cost)
     else:
         inner_subst = substitution_cost
 
-    n1, n2 = len(seq1), len(seq2)
-
-    # -- cutoff preliminaries -------------------------------------------
-    band: Optional[int] = None
-    if cutoff is not None:
-        if cutoff <= 0:
-            # Every distance is >= 0 >= cutoff; any non-negative bound works.
-            return 0.0
-        # Unmatched length is a lower bound: each of the (n1 - n2) extra
-        # items of the (longer) outer sequence must be deleted.
-        gap_bound = (n1 - n2) * deletion_cost
-        if gap_bound >= cutoff:
-            return gap_bound
-        min_indel = min(insertion_cost, deletion_cost)
-        if min_indel > 0:
-            # A cell (i, j) needs at least |i - j| * min_indel indel cost
-            # on any path through it; outside this band the path already
-            # meets the cutoff.
-            band = int(cutoff / min_indel) + 1
-
-    previous = [j * insertion_cost for j in range(n2 + 1)]
+    previous = [float(j) for j in range(len(seq2) + 1)]
     for i, item1 in enumerate(seq1, start=1):
-        if band is not None:
-            j_lo = max(1, i - band)
-            j_hi = min(n2, i + band)
-            left = i * deletion_cost if j_lo == 1 else _INF
-            cells = []
-            row_min = left
-            for j in range(j_lo, j_hi + 1):
-                item2 = seq2[j - 1]
-                above = previous[j] if j - (i - 1) <= band else _INF
-                diag = previous[j - 1]
-                value = left + insertion_cost
-                other = above + deletion_cost
-                if other < value:
-                    value = other
-                if diag < _INF:
-                    other = diag + inner_subst(item1, item2)
-                    if other < value:
-                        value = other
-                cells.append(value)
-                left = value
-                if value < row_min:
-                    row_min = value
-            if row_min >= cutoff:  # type: ignore[operator]
-                return row_min
-            # Re-pad so absolute j indexing into ``previous`` keeps working.
-            current = [_INF] * j_lo if j_lo > 1 else [i * deletion_cost]
-            current.extend(cells)
-            current.extend([_INF] * (n2 - j_hi))
-        else:
-            current = [i * deletion_cost]
-            append = current.append
-            prev_j = previous[0]
-            acc = current[0]
-            for j, item2 in enumerate(seq2, start=1):
-                prev_j1 = previous[j]
-                value = acc + insertion_cost
-                other = prev_j1 + deletion_cost
-                if other < value:
-                    value = other
-                other = prev_j + inner_subst(item1, item2)
-                if other < value:
-                    value = other
-                append(value)
-                prev_j = prev_j1
-                acc = value
-            if cutoff is not None:
-                row_min = min(current)
-                if row_min >= cutoff:
-                    return row_min
+        current = [float(i)]
+        append = current.append
+        prev_j = previous[0]
+        acc = current[0]
+        for j, item2 in enumerate(seq2, start=1):
+            prev_j1 = previous[j]
+            value = acc + 1.0
+            other = prev_j1 + 1.0
+            if other < value:
+                value = other
+            other = prev_j + inner_subst(item1, item2)
+            if other < value:
+                value = other
+            append(value)
+            prev_j = prev_j1
+            acc = value
         previous = current
-    result = previous[-1]
-    if result is _INF or result == _INF:
-        # The final cell fell outside the band: the distance meets the cutoff.
-        assert cutoff is not None
-        return cutoff
-    return result
+    return previous[-1]
 
 
 def edit_distance_reference(
     seq1: Sequence[T],
     seq2: Sequence[T],
     substitution_cost: Optional[SubstCost] = None,
-    insertion_cost: float = 1.0,
-    deletion_cost: float = 1.0,
 ) -> float:
     """The plain generalized Levenshtein DP, with no fast paths.
 
@@ -206,19 +131,18 @@ def edit_distance_reference(
 
     if len(seq2) > len(seq1):
         seq1, seq2 = seq2, seq1
-        insertion_cost, deletion_cost = deletion_cost, insertion_cost
         inner_subst = _flip(substitution_cost)
     else:
         inner_subst = substitution_cost
 
-    previous = [j * insertion_cost for j in range(len(seq2) + 1)]
+    previous = [float(j) for j in range(len(seq2) + 1)]
     for i, item1 in enumerate(seq1, start=1):
-        current = [i * deletion_cost]
+        current = [float(i)]
         for j, item2 in enumerate(seq2, start=1):
             current.append(
                 min(
-                    previous[j] + deletion_cost,
-                    current[j - 1] + insertion_cost,
+                    previous[j] + 1.0,
+                    current[j - 1] + 1.0,
                     previous[j - 1] + inner_subst(item1, item2),
                 )
             )

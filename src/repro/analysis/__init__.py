@@ -18,7 +18,6 @@ from repro.analysis.engine import (
     ProjectContext,
     ProjectRule,
     Rule,
-    analyze_file,
     analyze_paths,
     discover_files,
     display_path,
@@ -35,7 +34,6 @@ __all__ = [
     "ProjectRule",
     "Rule",
     "all_rules",
-    "analyze_file",
     "analyze_paths",
     "apply_baseline",
     "default_rules",

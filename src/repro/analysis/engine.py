@@ -279,11 +279,6 @@ def _run_file_rules(
     return out
 
 
-def analyze_file(path: Path, rules: Sequence[Rule]) -> List[Finding]:
-    """All findings of the given per-file rules for one file."""
-    return _run_file_rules(parse_file(path), rules)
-
-
 AnyRule = object  # Rule | ProjectRule; kept loose for 3.9 compatibility
 
 

@@ -28,7 +28,6 @@ paths, so downstream iteration is deterministic by construction.
 from __future__ import annotations
 
 import ast
-import builtins
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -64,9 +63,6 @@ POOL_DISPATCH_METHODS: Tuple[str, ...] = (
     "starmap_async",
     "submit",
 )
-
-_BUILTIN_NAMES = frozenset(dir(builtins))
-
 
 @dataclass
 class MutationSite:
@@ -204,12 +200,6 @@ class ProjectModel:
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     globals: Dict[str, GlobalInfo] = field(default_factory=dict)
-
-    def module_of_path(self, path: str) -> Optional[ModuleInfo]:
-        for info in self.modules.values():
-            if info.path == path:
-                return info
-        return None
 
 
 def _module_name(ctx: ModuleContext) -> str:

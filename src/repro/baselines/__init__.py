@@ -1,6 +1,1 @@
 """Comparator baselines: MDR (Liu et al. 2003) and single-section ViNTs."""
-
-from repro.baselines.mdr import mdr_extract
-from repro.baselines.vints_single import SingleSectionMSE, build_single_section_wrapper
-
-__all__ = ["SingleSectionMSE", "build_single_section_wrapper", "mdr_extract"]

@@ -10,10 +10,9 @@ the paper's motivation for MSE.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List
 
-from repro.core.mse import MSE, MSEConfig, SampleInput
-from repro.core.wrapper import EngineWrapper
+from repro.core.mse import MSE
 
 
 class SingleSectionMSE(MSE):
@@ -43,10 +42,3 @@ class SingleSectionMSE(MSE):
             engine.wrappers = [major]
         engine.families = []
         return engine
-
-
-def build_single_section_wrapper(
-    samples: Sequence[SampleInput], config: Optional[MSEConfig] = None
-) -> EngineWrapper:
-    """Induce a wrapper that extracts only the main result section."""
-    return SingleSectionMSE(config).build_wrapper(samples)

@@ -11,6 +11,7 @@
                     [--window N] [--threshold X] [--heal] [--events FILE]
     python -m repro monitor --testbed ID --evolve MUTATION [--mutate-at N] [--pages N]
     python -m repro eval    [--table 1|2|3|all] [--limit N] [--jobs N]
+                    [--breakdown DIM] [--csv FILE]
     python -m repro demo    [--engine-id N]
 
 ``induce`` builds a wrapper from sample pages (each argument is an HTML
@@ -446,20 +447,67 @@ def cmd_monitor(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from repro.evalkit.harness import main as harness_main
+    from repro.evalkit.harness import (
+        EvaluationRun,
+        breakdown,
+        run_evaluation,
+        write_engine_csv,
+    )
+    from repro.evalkit.report import render_record_table, render_section_table
+    from repro.testbed.corpus import SINGLE_SECTION_ENGINES
 
-    argv = ["--table", args.table]
-    if args.limit is not None:
-        argv += ["--limit", str(args.limit)]
-    if args.progress:
-        argv.append("--progress")
-    if args.jobs != 1:
-        argv += ["--jobs", str(args.jobs)]
-    if args.trace:
-        argv += ["--trace", args.trace]
-    if args.stats:
-        argv.append("--stats")
-    return harness_main(argv)
+    want = {"1", "2", "3"} if args.table == "all" else {args.table}
+    obs = _observer_for(args)
+
+    run_all = run_evaluation(
+        "all", args.limit, progress=args.progress, obs=obs, jobs=args.jobs
+    )
+    if "2" in want and args.limit is None:
+        run_multi = run_evaluation(
+            "multi", None, progress=args.progress, obs=obs, jobs=args.jobs
+        )
+    else:
+        # With a limit, derive the multi-section subset from the same run.
+        run_multi = EvaluationRun()
+        for result in run_all.engines:
+            if result.engine_id >= SINGLE_SECTION_ENGINES:
+                run_multi.engines.append(result)
+                run_multi.rows.merge(result.rows)
+
+    if "1" in want:
+        print(render_section_table(run_all.rows, "Table 1. Section extraction results on all engines"))
+        print()
+    if "2" in want:
+        print(render_section_table(run_multi.rows, "Table 2. Section extraction results on multi-section engines"))
+        print()
+    if "3" in want:
+        print(render_record_table(run_all.rows, "Table 3. Record extraction results on correctly extracted sections"))
+        print()
+
+    if args.breakdown:
+        print(f"Breakdown by {args.breakdown}:")
+        for label, rows in breakdown(run_all, args.breakdown):
+            total = rows.total_sections
+            print(
+                f"  {label:14s} actual={total.actual:4d} "
+                f"recall {100 * total.recall_perfect:5.1f}/"
+                f"{100 * total.recall_total:5.1f}  "
+                f"precision {100 * total.precision_perfect:5.1f}/"
+                f"{100 * total.precision_total:5.1f}"
+            )
+        print()
+
+    if args.csv:
+        write_engine_csv(run_all, args.csv)
+        print(f"per-engine results written to {args.csv}")
+
+    if obs.enabled:
+        obs.gauge("eval.engines", len(run_all.engines))
+        obs.gauge("eval.failures", len(run_all.failures))
+    _finish_obs(args, obs, "eval trace")
+    if run_all.failures:
+        print(f"({len(run_all.failures)} engines failed wrapper induction)", file=sys.stderr)
+    return 0
 
 
 def cmd_demo(args) -> int:
@@ -647,6 +695,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes for the evaluation (1 = serial)",
+    )
+    p_eval.add_argument(
+        "--breakdown", choices=["template", "style", "sections", "junk"],
+        default=None, help="also print results grouped by an engine property",
+    )
+    p_eval.add_argument(
+        "--csv", metavar="FILE", default=None,
+        help="write per-engine results to a CSV file",
     )
     _add_obs_flags(p_eval)
     p_eval.set_defaults(func=cmd_eval)

@@ -1,79 +1,1 @@
 """The paper's contribution: the MSE section-extraction pipeline (steps 2-9)."""
-
-from repro.core.annotate import (
-    AnnotatedRecord,
-    annotate_extraction,
-    annotate_record,
-    annotate_section,
-)
-from repro.core.dse import DynamicSection, run_dse
-from repro.core.family import SectionFamily, Type1Family, Type2Family, build_families
-from repro.core.granularity import resolve_granularity
-from repro.core.grouping import InstanceGroup, group_section_instances, match_score
-from repro.core.mining import mine_records
-from repro.core.model import (
-    ExtractedRecord,
-    ExtractedSection,
-    PageExtraction,
-    SectionInstance,
-)
-from repro.core.mre import TentativeMR, extract_mrs
-from repro.core.mse import MSE, MSEConfig, build_wrapper
-from repro.core.refine import RefineResult, refine_page
-from repro.core.serialize import (
-    WrapperFormatError,
-    load_wrapper,
-    save_wrapper,
-    wrapper_from_json,
-    wrapper_to_json,
-)
-from repro.core.verify import SectionHealth, WrapperHealth, check_wrapper
-from repro.core.wrapper import (
-    EngineWrapper,
-    SectionWrapper,
-    SeparatorRule,
-    apply_section_wrapper,
-    build_section_wrapper,
-)
-
-__all__ = [
-    "AnnotatedRecord",
-    "DynamicSection",
-    "EngineWrapper",
-    "ExtractedRecord",
-    "ExtractedSection",
-    "InstanceGroup",
-    "MSE",
-    "MSEConfig",
-    "PageExtraction",
-    "RefineResult",
-    "SectionFamily",
-    "SectionInstance",
-    "SectionWrapper",
-    "SeparatorRule",
-    "TentativeMR",
-    "Type1Family",
-    "Type2Family",
-    "apply_section_wrapper",
-    "build_families",
-    "build_section_wrapper",
-    "build_wrapper",
-    "extract_mrs",
-    "group_section_instances",
-    "match_score",
-    "mine_records",
-    "refine_page",
-    "resolve_granularity",
-    "run_dse",
-    "annotate_extraction",
-    "annotate_record",
-    "annotate_section",
-    "check_wrapper",
-    "load_wrapper",
-    "save_wrapper",
-    "wrapper_from_json",
-    "wrapper_to_json",
-    "SectionHealth",
-    "WrapperFormatError",
-    "WrapperHealth",
-]

@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.model import ExtractedRecord, ExtractedSection, PageExtraction
+from repro.core.model import ExtractedRecord
 from repro.render.lines import ContentLine, RenderedPage
 from repro.render.linetypes import LineType
 
@@ -140,21 +140,3 @@ def annotate_record(
             fields["price"] = match.group(0)
 
     return AnnotatedRecord(record=record, roles=tuple(roles), fields=fields)
-
-
-def annotate_section(
-    section: ExtractedSection, page: Optional[RenderedPage] = None
-) -> List[AnnotatedRecord]:
-    """Annotate all records of one section."""
-    return [annotate_record(record, page) for record in section.records]
-
-
-def annotate_extraction(
-    extraction: PageExtraction, page: Optional[RenderedPage] = None
-) -> Dict[str, List[AnnotatedRecord]]:
-    """Annotate a full page extraction; keyed by section schema id."""
-    out: Dict[str, List[AnnotatedRecord]] = {}
-    for index, section in enumerate(extraction.sections):
-        key = section.schema_id or f"section{index}"
-        out[key] = annotate_section(section, page)
-    return out

@@ -116,13 +116,6 @@ class PageExtraction:
         """Total records across all sections."""
         return sum(len(section) for section in self.sections)
 
-    def all_records(self) -> List[ExtractedRecord]:
-        """Flattened records (section order preserved)."""
-        out: List[ExtractedRecord] = []
-        for section in self.sections:
-            out.extend(section.records)
-        return out
-
 
 def section_to_extracted(instance: SectionInstance, schema_id: str = "") -> ExtractedSection:
     """Convert a pipeline section instance to the user-facing form."""

@@ -30,12 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.core.mining import mine_block
 from repro.core.model import SectionInstance
 from repro.core.mse_config import MSEConfig
 from repro.core.wrapper import EngineWrapper
-from repro.features.blocks import Block
-from repro.features.record_distance import RecordDistanceCache
 from repro.htmlmod.parser import parse_html
 from repro.obs import NULL_OBSERVER, ObserverLike
 from repro.perf.kernels import observe_kernel_gauges
@@ -133,16 +130,6 @@ class MSE:
         valid on resumed runs.
         """
         return sections_per_page
-
-    def _mine(self, block: Block, cache: RecordDistanceCache) -> List[Block]:
-        """Strategy-dispatched record mining of one DS block (§5.4)."""
-        return mine_block(
-            block,
-            self.config.mining_strategy,
-            self.config.features,
-            cache,
-            obs=self.obs,
-        )
 
     def _observe_run(self, ctx: InductionContext) -> None:
         """End-of-analysis cache/kernel gauges (trace + bench surface)."""

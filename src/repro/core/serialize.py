@@ -14,8 +14,7 @@ Besides the final wrapper, the intermediate *stage artifacts* of the
 induction pipeline (:class:`~repro.core.mre.TentativeMR`,
 :class:`~repro.core.dse.DynamicSection`,
 :class:`~repro.core.model.SectionInstance`) also have codecs here, used
-by :mod:`repro.pipeline` for checkpoint/resume and for shipping per-page
-results across process boundaries.  Those objects are line-span views
+by :mod:`repro.pipeline` for checkpoint/resume.  Those objects are line-span views
 over a live :class:`~repro.render.lines.RenderedPage`, so their JSON
 form stores spans only; decoding requires the (deterministically
 re-rendered) page the spans refer to.

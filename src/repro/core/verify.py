@@ -318,13 +318,3 @@ def health_from_applications(
     if health.drifted:
         obs.count("check.pages_drifted")
     return health
-
-
-def check_wrapper_on_pages(
-    engine: EngineWrapper, pages: List[Tuple[str, str]]
-) -> float:
-    """Mean health score over several (markup, query) pages."""
-    if not pages:
-        return 0.0
-    total = sum(check_wrapper(engine, markup, query).score for markup, query in pages)
-    return total / len(pages)

@@ -1,35 +1,1 @@
 """Evaluation kit: ground-truth matching, metrics, and the Tables 1-3 harness."""
-
-from repro.evalkit.harness import (
-    EngineResult,
-    EvaluationRun,
-    evaluate_engine,
-    run_evaluation,
-)
-from repro.evalkit.matching import PageGrade, SectionMatch, grade_page, span_jaccard
-from repro.evalkit.metrics import EvalRows, RecordCounts, SectionCounts
-from repro.evalkit.report import render_record_table, render_section_table
-
-__all__ = [
-    "EngineResult",
-    "EvalRows",
-    "EvaluationRun",
-    "PageGrade",
-    "RecordCounts",
-    "SectionCounts",
-    "SectionMatch",
-    "evaluate_engine",
-    "grade_page",
-    "render_record_table",
-    "render_section_table",
-    "run_evaluation",
-    "span_jaccard",
-]
-
-from repro.evalkit.significance import (  # noqa: E402
-    Interval,
-    bootstrap_metric,
-    recall_precision_intervals,
-)
-
-__all__ += ["Interval", "bootstrap_metric", "recall_precision_intervals"]

@@ -6,11 +6,11 @@ Per engine: build the wrapper from the 5 sample pages, extract from all
 
 Run from the command line::
 
-    python -m repro.evalkit.harness --table 1          # all 119 engines
-    python -m repro.evalkit.harness --table 2          # the 38 multi-section
-    python -m repro.evalkit.harness --table 3          # record extraction
-    python -m repro.evalkit.harness --table all --limit 20   # quick pass
-    python -m repro.evalkit.harness --jobs 4           # 4 worker processes
+    python -m repro eval --table 1          # all 119 engines
+    python -m repro eval --table 2          # the 38 multi-section
+    python -m repro eval --table 3          # record extraction
+    python -m repro eval --table all --limit 20   # quick pass
+    python -m repro eval --jobs 4           # 4 worker processes
 
 Engines are independent workloads, so ``--jobs N`` maps the corpus over
 a :class:`~concurrent.futures.ProcessPoolExecutor`; the map yields in
@@ -21,21 +21,17 @@ in one process.
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
+from repro.core.model import PageExtraction
 from repro.core.mse import MSE, MSEConfig
 from repro.evalkit.matching import grade_page
 from repro.evalkit.metrics import EvalRows
-from repro.evalkit.report import (
-    render_record_table,
-    render_section_table,
-)
-from repro.obs import NULL_OBSERVER, Observer, ObserverLike, render_report
+from repro.obs import NULL_OBSERVER, Observer, ObserverLike
 from repro.testbed.corpus import (
     SAMPLE_PAGES,
     EnginePages,
@@ -43,6 +39,9 @@ from repro.testbed.corpus import (
     iter_corpus,
     load_engine_pages,
 )
+
+#: a per-page extractor: ``(markup, query) -> PageExtraction``
+Extractor = Callable[[str, str], PageExtraction]
 
 
 @dataclass
@@ -90,7 +89,6 @@ def evaluate_engine(
     per-stage wall time and counters for the corpus ("which stage
     regressed?" attribution for benchmark trajectories).
     """
-    rows = EvalRows()
     mse = MSE(config, obs=obs)
     metadata = _engine_metadata(engine_pages)
 
@@ -110,17 +108,9 @@ def evaluate_engine(
     build_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    for index, (markup, query) in enumerate(
-        zip(engine_pages.pages, engine_pages.queries)
-    ):
-        truth = engine_pages.truths[index]
-        extraction = wrapper.extract(markup, query, obs=obs)
-        grade = grade_page(extraction, truth)
-        is_sample = index < SAMPLE_PAGES
-        sections = rows.sample_sections if is_sample else rows.test_sections
-        records = rows.sample_records if is_sample else rows.test_records
-        sections.add_grade(grade, len(truth.sections))
-        records.add_grade(grade)
+    rows = _grade_pages(
+        engine_pages, lambda markup, query: wrapper.extract(markup, query, obs=obs)
+    )
     extract_seconds = time.perf_counter() - start
 
     return EngineResult(
@@ -214,15 +204,26 @@ def write_engine_csv(run: "EvaluationRun", path: str) -> None:
 
 
 def evaluate_extractor(
-    engine_pages: EnginePages, extract_fn
+    engine_pages: EnginePages, extract_fn: Extractor
 ) -> EngineResult:
     """Grade an arbitrary per-page extractor (used by baseline benches).
 
     ``extract_fn(markup, query) -> PageExtraction``; no wrapper induction
     happens (the function may close over a pre-built wrapper).
     """
-    rows = EvalRows()
     start = time.perf_counter()
+    rows = _grade_pages(engine_pages, extract_fn)
+    return EngineResult(
+        engine_id=engine_pages.engine.engine_id,
+        rows=rows,
+        build_seconds=0.0,
+        extract_seconds=time.perf_counter() - start,
+    )
+
+
+def _grade_pages(engine_pages: EnginePages, extract_fn: Extractor) -> EvalRows:
+    """Grade ``extract_fn`` on all ten pages into the S/T-pgs rows."""
+    rows = EvalRows()
     for index, (markup, query) in enumerate(
         zip(engine_pages.pages, engine_pages.queries)
     ):
@@ -233,12 +234,7 @@ def evaluate_extractor(
         records = rows.sample_records if is_sample else rows.test_records
         sections.add_grade(grade, len(truth.sections))
         records.add_grade(grade)
-    return EngineResult(
-        engine_id=engine_pages.engine.engine_id,
-        rows=rows,
-        build_seconds=0.0,
-        extract_seconds=time.perf_counter() - start,
-    )
+    return rows
 
 
 def _rows_for_total_miss(engine_pages: EnginePages) -> EvalRows:
@@ -343,110 +339,3 @@ def run_evaluation(
         if progress:
             _print_progress(result)
     return run
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--table",
-        choices=["1", "2", "3", "all"],
-        default="all",
-        help="which paper table to regenerate",
-    )
-    parser.add_argument(
-        "--limit", type=int, default=None, help="cap the number of engines"
-    )
-    parser.add_argument(
-        "--progress", action="store_true", help="per-engine progress on stderr"
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the evaluation (1 = serial)",
-    )
-    parser.add_argument(
-        "--breakdown",
-        choices=["template", "style", "sections", "junk"],
-        default=None,
-        help="also print results grouped by an engine property",
-    )
-    parser.add_argument(
-        "--csv", default=None, help="write per-engine results to a CSV file"
-    )
-    parser.add_argument(
-        "--trace",
-        metavar="FILE",
-        default=None,
-        help="write an aggregate JSONL pipeline trace (spans + metrics) to FILE",
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="print the aggregate span tree and metrics to stderr",
-    )
-    args = parser.parse_args(argv)
-
-    want = {"1", "2", "3"} if args.table == "all" else {args.table}
-    obs = Observer() if (args.trace or args.stats) else NULL_OBSERVER
-
-    run_all = run_evaluation(
-        "all", args.limit, progress=args.progress, obs=obs, jobs=args.jobs
-    )
-    if "2" in want and args.limit is None:
-        run_multi = run_evaluation(
-            "multi", None, progress=args.progress, obs=obs, jobs=args.jobs
-        )
-    else:
-        # With a limit, derive the multi-section subset from the same run.
-        run_multi = EvaluationRun()
-        from repro.testbed.corpus import SINGLE_SECTION_ENGINES
-
-        for result in run_all.engines:
-            if result.engine_id >= SINGLE_SECTION_ENGINES:
-                run_multi.engines.append(result)
-                run_multi.rows.merge(result.rows)
-
-    if "1" in want:
-        print(render_section_table(run_all.rows, "Table 1. Section extraction results on all engines"))
-        print()
-    if "2" in want:
-        print(render_section_table(run_multi.rows, "Table 2. Section extraction results on multi-section engines"))
-        print()
-    if "3" in want:
-        print(render_record_table(run_all.rows, "Table 3. Record extraction results on correctly extracted sections"))
-        print()
-
-    if args.breakdown:
-        print(f"Breakdown by {args.breakdown}:")
-        for label, rows in breakdown(run_all, args.breakdown):
-            total = rows.total_sections
-            print(
-                f"  {label:14s} actual={total.actual:4d} "
-                f"recall {100 * total.recall_perfect:5.1f}/"
-                f"{100 * total.recall_total:5.1f}  "
-                f"precision {100 * total.precision_perfect:5.1f}/"
-                f"{100 * total.precision_total:5.1f}"
-            )
-        print()
-
-    if args.csv:
-        write_engine_csv(run_all, args.csv)
-        print(f"per-engine results written to {args.csv}")
-
-    if obs.enabled:
-        obs.gauge("eval.engines", len(run_all.engines))
-        obs.gauge("eval.failures", len(run_all.failures))
-        if args.trace:
-            obs.write_jsonl(args.trace)
-            print(f"pipeline trace written to {args.trace}", file=sys.stderr)
-        if args.stats:
-            print(render_report(obs, "eval trace"), file=sys.stderr)
-
-    if run_all.failures:
-        print(f"({len(run_all.failures)} engines failed wrapper induction)", file=sys.stderr)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -46,10 +46,6 @@ class SectionMatch:
     correct_records: int
 
     @property
-    def matched(self) -> bool:
-        return self.truth is not None
-
-    @property
     def perfect(self) -> bool:
         """All truth records extracted, no incorrect records."""
         if self.truth is None:

@@ -116,18 +116,6 @@ class Block:
             ]
         return self._forest
 
-    def overlaps(self, other: "Block") -> bool:
-        """Whether two blocks on the same page share any line."""
-        return self.start <= other.end and other.start <= self.end
-
-    def contains(self, other: "Block") -> bool:
-        """Whether this block fully contains ``other``."""
-        return self.start <= other.start and other.end <= self.end
-
-    def overlap_size(self, other: "Block") -> int:
-        """Number of shared lines."""
-        return max(0, min(self.end, other.end) - max(self.start, other.start) + 1)
-
 
 def partition_block(block: Block, boundaries: Sequence[int]) -> List[Block]:
     """Split ``block`` at the given first-line numbers.

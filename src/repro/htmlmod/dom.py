@@ -10,7 +10,7 @@ generators can assemble pages programmatically.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 _WHITESPACE_RE = re.compile(r"\s+")
 
@@ -32,29 +32,6 @@ class Node:
         self.parent: Optional[Element] = None
 
     # -- tree geometry ---------------------------------------------------
-    @property
-    def index_in_parent(self) -> int:
-        """The node's position among its parent's children (-1 for roots)."""
-        if self.parent is None:
-            return -1
-        for i, child in enumerate(self.parent.children):
-            if child is self:
-                return i
-        raise ValueError("node detached from its recorded parent")
-
-    def index_path(self) -> Tuple[int, ...]:
-        """Child-index path from the root to this node.
-
-        The root has the empty path.  Index paths identify nodes uniquely
-        within one document and are used by the ground-truth annotations.
-        """
-        path: List[int] = []
-        node: Node = self
-        while node.parent is not None:
-            path.append(node.index_in_parent)
-            node = node.parent
-        return tuple(reversed(path))
-
     def ancestors(self) -> Iterator["Element"]:
         """Yield ancestors from the immediate parent up to the root."""
         node = self.parent
@@ -68,10 +45,6 @@ class Node:
         while node.parent is not None:
             node = node.parent
         return node
-
-    def depth(self) -> int:
-        """Number of ancestors above this node."""
-        return sum(1 for _ in self.ancestors())
 
     # -- content ----------------------------------------------------------
     def text_content(self) -> str:
@@ -172,10 +145,6 @@ class Element(Node):
         """The element's class list."""
         return tuple(self.attrs.get("class", "").split())
 
-    def has_class(self, name: str) -> bool:
-        """True if ``name`` is in the element's class list."""
-        return name in self.classes
-
     # -- traversal ----------------------------------------------------------
     def iter(self) -> Iterator[Node]:
         """Pre-order traversal of the subtree rooted here (including self)."""
@@ -212,18 +181,6 @@ class Element(Node):
     def child_elements(self) -> List["Element"]:
         """Direct children that are elements."""
         return [c for c in self.children if isinstance(c, Element)]
-
-    def resolve_index_path(self, path: Sequence[int]) -> Node:
-        """Follow a child-index path (see :meth:`Node.index_path`)."""
-        node: Node = self
-        for index in path:
-            if not isinstance(node, Element):
-                raise LookupError(f"path {tuple(path)} descends through a leaf")
-            try:
-                node = node.children[index]
-            except IndexError as exc:
-                raise LookupError(f"path {tuple(path)} is out of range") from exc
-        return node
 
     # -- content --------------------------------------------------------------
     def text_content(self) -> str:

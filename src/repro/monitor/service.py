@@ -22,8 +22,8 @@ staged pipeline reuses every artifact of pages it has already seen and
 re-executes only changed stages — and health-checks the candidate on
 the current page.  A candidate scoring at or above the threshold is
 hot-swapped in (back to ``healthy``, detector state reset); otherwise
-the old wrapper stays and the monitor retries every ``retry_every``
-pages with fresher samples.
+the old wrapper stays and the monitor retries every
+:data:`RETRY_EVERY` pages with fresher samples.
 
 Every step appends to a :class:`~repro.obs.health.HealthEventLog`
 (``check`` / ``drift`` / ``reinduce`` / ``heal`` events keyed by the
@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, Optional, Tuple
 
 from repro.core.mse import build_wrapper
-from repro.core.mse_config import MSEConfig
 from repro.core.verify import WrapperHealth
 from repro.core.wrapper import EngineWrapper
 from repro.obs import NULL_OBSERVER, ObserverLike
@@ -55,6 +54,19 @@ from repro.obs.health import (
 HEALTHY = "healthy"
 DRIFTED = "drifted"
 
+#: EWMA smoothing factor of every monitored stream
+EWMA_ALPHA = 0.3
+#: checks before any alarm may confirm (a monitor attached to an
+#: already-broken wrapper must not claim it *detected a change*)
+WARMUP = 2
+#: recently served pages retained as re-induction candidates
+BUFFER_PAGES = 8
+#: sample-count band for one re-induction attempt
+MIN_SAMPLES = 2
+MAX_SAMPLES = 5
+#: pages between heal attempts while drifted
+RETRY_EVERY = 4
+
 
 @dataclass
 class MonitorConfig:
@@ -65,26 +77,12 @@ class MonitorConfig:
     #: health threshold: EWMA below this confirms an alarm, and a healed
     #: wrapper must score at least this to be swapped in
     threshold: float = 0.6
-    #: EWMA smoothing factor
-    ewma_alpha: float = 0.3
     #: Page–Hinkley tolerated deviation below the running mean
     ph_delta: float = 0.05
     #: Page–Hinkley alarm threshold on the cumulative statistic
     ph_lambda: float = 1.0
-    #: checks before any alarm may confirm (a monitor attached to an
-    #: already-broken wrapper must not claim it *detected a change*)
-    warmup: int = 2
-    #: metric streams to monitor (keys of ``WrapperHealth.metrics``)
-    streams: Tuple[str, ...] = DEFAULT_STREAMS
     #: attempt self-healing re-induction once drift is confirmed
     heal: bool = False
-    #: recently served pages retained as re-induction candidates
-    buffer_pages: int = 8
-    #: sample-count band for one re-induction attempt
-    min_samples: int = 2
-    max_samples: int = 5
-    #: pages between heal attempts while drifted
-    retry_every: int = 4
     #: checkpoint directory for resumable re-induction (None = in-memory)
     checkpoint_dir: Optional[str] = None
 
@@ -140,35 +138,32 @@ class WrapperMonitor:
         self,
         wrapper: EngineWrapper,
         config: Optional[MonitorConfig] = None,
-        mse_config: Optional[MSEConfig] = None,
         obs: ObserverLike = NULL_OBSERVER,
-        log: Optional[HealthEventLog] = None,
     ) -> None:
         self.wrapper = wrapper
         self.compiled: CompiledWrapper = compile_wrapper(wrapper)
         self.config = config or MonitorConfig()
-        self.mse_config = mse_config
         self.obs = obs
         cfg = self.config
         self.tracker = HealthTracker(
-            streams=cfg.streams,
+            streams=DEFAULT_STREAMS,
             window=cfg.window,
             threshold=cfg.threshold,
-            alpha=cfg.ewma_alpha,
+            alpha=EWMA_ALPHA,
             delta=cfg.ph_delta,
             lambda_=cfg.ph_lambda,
-            warmup=cfg.warmup,
+            warmup=WARMUP,
         )
-        self.log = log if log is not None else HealthEventLog()
+        self.log = HealthEventLog()
         self.log.meta.update(
             {
                 "window": cfg.window,
                 "threshold": cfg.threshold,
-                "streams": list(cfg.streams),
+                "streams": list(DEFAULT_STREAMS),
                 "heal": cfg.heal,
             }
         )
-        self._buffer: Deque[Tuple[str, str]] = deque(maxlen=cfg.buffer_pages)
+        self._buffer: Deque[Tuple[str, str]] = deque(maxlen=BUFFER_PAGES)
         self._run = _MonitorState()
 
     # -- read-only views ------------------------------------------------
@@ -273,27 +268,26 @@ class WrapperMonitor:
     # -- healing --------------------------------------------------------
     def _heal_due(self) -> bool:
         run = self._run
-        if len(self._buffer) < self.config.min_samples:
+        if len(self._buffer) < MIN_SAMPLES:
             return False
         if run.last_heal_attempt < 0:
             return True
-        return run.page - run.last_heal_attempt >= self.config.retry_every
+        return run.page - run.last_heal_attempt >= RETRY_EVERY
 
     def _post_change_samples(self) -> Tuple[Tuple[str, str], ...]:
         """The most recent buffered pages judged to be post-change.
 
         The Page–Hinkley ``pages_since_change`` of the alarming stream
         estimates how long the template has been drifting; at least
-        ``min_samples`` and at most ``max_samples`` pages are used.
+        :data:`MIN_SAMPLES` and at most :data:`MAX_SAMPLES` pages are used.
         """
         run = self._run
-        cfg = self.config
         since_change = (
             run.pending_alarm.pages_since_change
             if run.pending_alarm is not None
-            else cfg.max_samples
+            else MAX_SAMPLES
         )
-        count = max(cfg.min_samples, min(cfg.max_samples, since_change))
+        count = max(MIN_SAMPLES, min(MAX_SAMPLES, since_change))
         count = min(count, len(self._buffer))
         return tuple(self._buffer)[-count:] if count else ()
 
@@ -303,13 +297,12 @@ class WrapperMonitor:
         cfg = self.config
         run.last_heal_attempt = run.page
         samples = self._post_change_samples()
-        if len(samples) < cfg.min_samples:
+        if len(samples) < MIN_SAMPLES:
             return False
 
         with self.obs.span("reinduce"):
             candidate = build_wrapper(
                 list(samples),
-                config=self.mse_config,
                 obs=self.obs,
                 checkpoint_dir=cfg.checkpoint_dir,
                 resume=cfg.checkpoint_dir is not None,

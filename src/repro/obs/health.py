@@ -68,10 +68,6 @@ class RollingWindow:
         return len(self._values)
 
     @property
-    def full(self) -> bool:
-        return len(self._values) == self.size
-
-    @property
     def mean(self) -> float:
         return self._total / len(self._values) if self._values else 0.0
 

@@ -77,21 +77,6 @@ class MetricsRegistry:
             timing = self.timings[name] = TimingStats()
         timing.observe(seconds)
 
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry into this one (counters add, gauges
-        overwrite, timings combine)."""
-        for name, amount in other.counters.items():
-            self.count(name, amount)
-        self.gauges.update(other.gauges)
-        for name, timing in other.timings.items():
-            mine = self.timings.get(name)
-            if mine is None:
-                mine = self.timings[name] = TimingStats()
-            mine.count += timing.count
-            mine.total += timing.total
-            mine.min = min(mine.min, timing.min)
-            mine.max = max(mine.max, timing.max)
-
     def merge_snapshot(self, snapshot: Dict[str, Dict]) -> None:
         """Fold a :meth:`snapshot` document into this registry.
 

@@ -115,7 +115,7 @@ class TupleInterner:
         self._seen.clear()
 
 
-#: process-wide interners; cleared by repro.perf.clear_kernel_caches()
+#: process-wide interners; cleared by repro.perf.kernels.clear_kernel_caches()
 ATTR_INTERNER = AttrInterner()
 TUPLE_INTERNER = TupleInterner()
 

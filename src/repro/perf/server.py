@@ -154,7 +154,9 @@ class Server:
     :class:`CompiledWrapper`.  ``prime_pages`` — optional representative
     ``(markup, query)`` pairs — are served once by *every* worker at
     spawn to warm its kernel memos; ``prime_of`` restricts each priming
-    page to one wrapper, the same shape as ``wrapper_of``.
+    page to one wrapper, the same shape as ``wrapper_of``.  A priming
+    page that is not a ``(str, str)`` pair raises :class:`TypeError`
+    here, before any worker starts.
 
     Use as a context manager, or call :meth:`close`::
 
@@ -177,6 +179,18 @@ class Server:
     ) -> None:
         if not wrappers:
             raise ValueError("Server needs at least one wrapper")
+        for page in prime_pages:
+            # A worker that fails to prime dies in the executor
+            # initializer, and the pool would be rebuilt until it gives up.
+            if not (
+                isinstance(page, (tuple, list))
+                and len(page) == 2
+                and all(isinstance(part, str) for part in page)
+            ):
+                raise TypeError(
+                    f"priming page must be a (markup, query) pair of str, "
+                    f"got {page!r:.80}"
+                )
         self.jobs = max(1, jobs)
         self.obs = obs
         self.restarts = 0

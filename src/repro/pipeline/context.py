@@ -103,8 +103,9 @@ class InductionContext:
     ) -> "InductionContext":
         """A context over already-rendered pages (no sample HTML known).
 
-        Used by the ``analyze_pages`` compatibility API and by tests;
-        such a context cannot be checkpointed (it has no page ids).
+        Used by :meth:`repro.core.mse.MSE.analyze_pages`, by perfbench's
+        traced induction and by tests; such a context cannot be
+        checkpointed (it has no page ids).
         """
         if len(pages) != len(queries):
             raise ValueError("pages and queries must align")

@@ -1,18 +1,1 @@
 """Rendering substrate: style resolution, font metrics, layout -> content lines."""
-
-from repro.render.layout import render_html, render_page
-from repro.render.lines import ContentLine, RenderedPage, deepest_common_ancestor
-from repro.render.linetypes import LineType, type_distance
-from repro.render.styles import TextAttr, default_attr
-
-__all__ = [
-    "ContentLine",
-    "LineType",
-    "RenderedPage",
-    "TextAttr",
-    "deepest_common_ancestor",
-    "default_attr",
-    "render_html",
-    "render_page",
-    "type_distance",
-]

@@ -41,8 +41,3 @@ def char_width(attr: TextAttr) -> float:
 def text_width(text: str, attr: TextAttr) -> float:
     """Approximate rendered width of ``text`` in pixels."""
     return len(text) * char_width(attr)
-
-
-def line_height(attr: TextAttr) -> int:
-    """Approximate line box height for text of this attribute."""
-    return int(round(attr.size * 1.25))

@@ -276,10 +276,3 @@ def render_page(document: Document) -> RenderedPage:
     renderer = _Renderer()
     renderer.walk(document.body, default_attr(), BODY_MARGIN)
     return RenderedPage(document, renderer.lines)
-
-
-def render_html(markup: str) -> RenderedPage:
-    """Parse and render an HTML string in one call."""
-    from repro.htmlmod.parser import parse_html
-
-    return render_page(parse_html(markup))

@@ -38,15 +38,6 @@ class ContentLine:
     _tag_path: Optional[TagPath] = field(default=None, repr=False, compare=False)
 
     @property
-    def anchor_element(self) -> Element:
-        """The element that directly contains the line's first leaf."""
-        first = self.leaves[0]
-        if isinstance(first, Element):
-            return first
-        assert first.parent is not None
-        return first.parent
-
-    @property
     def tag_path(self) -> TagPath:
         """Compact tag path to the line's first leaf (cached)."""
         if self._tag_path is None:
@@ -88,18 +79,6 @@ class RenderedPage:
         section-homogeneity memo key of :mod:`repro.core.verify`.
         """
         return self._leaf_to_line
-
-    def line_of_node(self, node: Node) -> Optional[int]:
-        """The line number rendering ``node``, if it is (or contains) a leaf."""
-        direct = self._leaf_to_line.get(id(node))
-        if direct is not None:
-            return direct
-        if isinstance(node, Element):
-            for descendant in node.iter():
-                found = self._leaf_to_line.get(id(descendant))
-                if found is not None:
-                    return found
-        return None
 
     def line_range_of_element(self, element: Element) -> Optional[Tuple[int, int]]:
         """The [first, last] line numbers covered by an element, if any.

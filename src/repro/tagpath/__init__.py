@@ -1,5 +1,1 @@
 """Tag paths with C/S direction nodes, compatibility and Formula-1 distance."""
-
-from repro.tagpath.paths import MergedTagPath, PathStep, TagPath
-
-__all__ = ["MergedTagPath", "PathStep", "TagPath"]

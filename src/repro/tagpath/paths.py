@@ -94,11 +94,6 @@ class TagPath:
         return tuple(step.tag for step in self.steps)
 
     @property
-    def s_counts(self) -> Tuple[int, ...]:
-        """The per-level S counts."""
-        return tuple(step.s_count for step in self.steps)
-
-    @property
     def total_s(self) -> int:
         """Total number of S steps along the whole path."""
         return sum(step.s_count for step in self.steps)
@@ -151,10 +146,6 @@ class TagPath:
             if node is None:
                 return None
         return node
-
-    def slice(self, start: int, stop: Optional[int] = None) -> "TagPath":
-        """A sub-path of this path (used by section families)."""
-        return TagPath(self.steps[start:stop])
 
 
 def _nth_element_child(parent: Element, tag: str, s_count: int) -> Optional[Element]:

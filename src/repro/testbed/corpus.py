@@ -24,7 +24,6 @@ TOTAL_ENGINES = SINGLE_SECTION_ENGINES + MULTI_SECTION_ENGINES  # 119
 
 PAGES_PER_ENGINE = 10
 SAMPLE_PAGES = 5  # wrapper induction / tuning
-TEST_PAGES = 5
 
 #: global seed offset so the corpus can be re-rolled wholesale if needed
 CORPUS_SEED = 20060912  # VLDB'06 opening day
@@ -48,9 +47,6 @@ class EnginePages:
     def test_set(self) -> List[Tuple[str, str]]:
         """(html, query) pairs of the held-out test pages."""
         return list(zip(self.pages[SAMPLE_PAGES:], self.queries[SAMPLE_PAGES:]))
-
-    def truth_of(self, page_index: int) -> PageTruth:
-        return self.truths[page_index]
 
 
 def make_engine(engine_id: int) -> SyntheticEngine:

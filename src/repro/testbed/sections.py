@@ -356,5 +356,3 @@ ALL_STYLES: List[SectionStyle] = [
     ParagraphStyle(),
     NestedTableStyle(),
 ]
-
-STYLES_BY_NAME = {style.name: style for style in ALL_STYLES}

@@ -193,4 +193,3 @@ class PortalTemplate(PageTemplate):
 
 
 ALL_TEMPLATES: List[PageTemplate] = [SimpleTemplate(), SidebarTemplate(), PortalTemplate()]
-TEMPLATES_BY_NAME = {template.name: template for template in ALL_TEMPLATES}

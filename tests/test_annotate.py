@@ -1,9 +1,8 @@
 """Data annotation tests."""
 
-from repro.core.annotate import annotate_extraction, annotate_record, annotate_section
-from repro.core.model import ExtractedRecord, ExtractedSection, PageExtraction
-from repro.core.mse import build_wrapper
-from tests.helpers import render, sample_pages
+from repro.core.annotate import annotate_record
+from repro.core.model import ExtractedRecord
+from tests.helpers import render
 
 
 def record(*lines, span=None):
@@ -77,17 +76,3 @@ class TestWithRenderedPage:
         )
         ann = annotate_record(rec, self.PAGE)
         assert ann.roles == ("title", "snippet", "url")
-
-
-class TestBulkHelpers:
-    def test_annotate_section_and_extraction(self):
-        pages = sample_pages(("apple", "banana"), [("Web", 3)])
-        engine = build_wrapper(pages)
-        extraction = engine.extract(*pages[0])
-        per_schema = annotate_extraction(extraction)
-        assert per_schema
-        for records in per_schema.values():
-            for ann in records:
-                assert ann.title
-        section = extraction.sections[0]
-        assert len(annotate_section(section)) == len(section.records)

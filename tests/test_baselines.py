@@ -1,7 +1,7 @@
 """Baseline tests: MDR and single-section ViNTs."""
 
 from repro.baselines.mdr import mdr_extract
-from repro.baselines.vints_single import build_single_section_wrapper
+from repro.baselines.vints_single import SingleSectionMSE
 from repro.evalkit.matching import grade_page
 from repro.testbed import load_engine_pages
 from tests.helpers import make_records, sample_pages, simple_result_page
@@ -52,7 +52,7 @@ class TestSingleSectionVints:
         pages = sample_pages(
             ("apple", "banana", "cherry"), [("Web", 5), ("News", 3)]
         )
-        wrapper = build_single_section_wrapper(pages)
+        wrapper = SingleSectionMSE().build_wrapper(pages)
         html, query = pages[0]
         extraction = wrapper.extract(html, query)
         assert len(extraction) == 1
@@ -60,7 +60,7 @@ class TestSingleSectionVints:
 
     def test_misses_secondary_sections_on_multi_engine(self):
         ep = load_engine_pages(85)
-        wrapper = build_single_section_wrapper(ep.sample_set)
+        wrapper = SingleSectionMSE().build_wrapper(ep.sample_set)
         misses = 0
         for i in range(len(ep.pages)):
             grade = grade_page(

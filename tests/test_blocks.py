@@ -62,20 +62,6 @@ class TestBlockFeatures:
         assert "one" in Block(PAGE, 0, 1).text
 
 
-class TestOverlap:
-    def test_overlaps(self):
-        assert Block(PAGE, 0, 2).overlaps(Block(PAGE, 2, 3))
-        assert not Block(PAGE, 0, 1).overlaps(Block(PAGE, 2, 3))
-
-    def test_contains(self):
-        assert Block(PAGE, 0, 3).contains(Block(PAGE, 1, 2))
-        assert not Block(PAGE, 1, 2).contains(Block(PAGE, 0, 3))
-
-    def test_overlap_size(self):
-        assert Block(PAGE, 0, 2).overlap_size(Block(PAGE, 1, 3)) == 2
-        assert Block(PAGE, 0, 1).overlap_size(Block(PAGE, 3, 3)) == 0
-
-
 class TestPartition:
     def test_partition_at_boundaries(self):
         block = Block(PAGE, 0, 3)

@@ -42,12 +42,29 @@ class TestBreakdown:
 
 class TestCliBreakdown:
     def test_harness_main_with_breakdown(self, capsys):
-        from repro.evalkit.harness import main
+        from repro.cli import main
 
-        code = main(["--table", "1", "--limit", "2", "--breakdown", "template"])
+        code = main(["eval", "--table", "1", "--limit", "2", "--breakdown", "template"])
         assert code == 0
         out = capsys.readouterr().out
         assert "Breakdown by template" in out
+
+    def test_eval_breakdown_and_csv_together(self, tmp_path, capsys):
+        import csv
+
+        from repro.cli import main
+
+        path = tmp_path / "engines.csv"
+        code = main([
+            "eval", "--table", "1", "--limit", "2",
+            "--breakdown", "style", "--csv", str(path),
+        ])
+        assert code == 0
+        assert "Breakdown by style" in capsys.readouterr().out
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0][0] == "engine_id"
+        assert [row[0] for row in rows[1:]] == ["0", "1"]
 
 
 class TestCsvExport:
@@ -65,9 +82,9 @@ class TestCsvExport:
         assert 0.0 <= float(rows[0]["recall_total"]) <= 1.0
 
     def test_harness_main_csv(self, tmp_path, capsys):
-        from repro.evalkit.harness import main
+        from repro.cli import main
 
         path = tmp_path / "out.csv"
-        code = main(["--table", "1", "--limit", "2", "--csv", str(path)])
+        code = main(["eval", "--table", "1", "--limit", "2", "--csv", str(path)])
         assert code == 0
         assert path.exists()

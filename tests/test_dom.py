@@ -1,7 +1,5 @@
 """DOM node tests."""
 
-import pytest
-
 from repro.htmlmod.dom import (
     Comment,
     Document,
@@ -41,15 +39,6 @@ class TestTreeGeometry:
         assert span.parent is div
         assert div.parent is body
 
-    def test_index_path_roundtrip(self):
-        root, body, div, span = small_tree()
-        path = span.index_path()
-        assert root.resolve_index_path(path) is span
-
-    def test_root_has_empty_index_path(self):
-        root, *_ = small_tree()
-        assert root.index_path() == ()
-
     def test_ancestors_order(self):
         root, body, div, span = small_tree()
         assert list(span.ancestors()) == [div, body, root]
@@ -57,21 +46,6 @@ class TestTreeGeometry:
     def test_root_method(self):
         root, _, _, span = small_tree()
         assert span.root() is root
-
-    def test_depth(self):
-        root, body, div, span = small_tree()
-        assert root.depth() == 0
-        assert span.depth() == 3
-
-    def test_resolve_bad_path_raises(self):
-        root, *_ = small_tree()
-        with pytest.raises(LookupError):
-            root.resolve_index_path((9, 9))
-
-    def test_index_in_parent(self):
-        root, body, div, span = small_tree()
-        assert body.index_in_parent == 0
-        assert span.index_in_parent == 1  # after the text node
 
 
 class TestMutation:
@@ -142,8 +116,6 @@ class TestContent:
     def test_classes(self):
         _, _, div, _ = small_tree()
         assert div.classes == ("a", "b")
-        assert div.has_class("a")
-        assert not div.has_class("c")
 
     def test_comment_has_no_text_content(self):
         c = Comment("note")

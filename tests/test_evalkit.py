@@ -97,7 +97,7 @@ class TestGrading:
         )
         grade = grade_page(extraction, truth)
         assert grade.perfect_count == 1
-        assert sum(1 for m in grade.matches if not m.matched) == 1
+        assert sum(1 for m in grade.matches if m.truth is None) == 1
 
     def test_missed_truth_reported(self):
         truth = page_truth(
@@ -120,7 +120,7 @@ class TestGrading:
             )
         )
         grade = grade_page(extraction, truth)
-        matched = [m for m in grade.matches if m.matched]
+        matched = [m for m in grade.matches if m.truth is not None]
         assert len(matched) == 1
 
 

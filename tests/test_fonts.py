@@ -1,6 +1,6 @@
 """Font metric tests."""
 
-from repro.render.fonts import char_width, line_height, text_width
+from repro.render.fonts import char_width, text_width
 from repro.render.styles import TextAttr
 
 
@@ -31,11 +31,3 @@ class TestTextWidth:
 
     def test_empty_string(self):
         assert text_width("", TextAttr()) == 0.0
-
-
-class TestLineHeight:
-    def test_exceeds_font_size(self):
-        assert line_height(TextAttr(size=12)) > 12
-
-    def test_integral(self):
-        assert isinstance(line_height(TextAttr(size=13)), int)

@@ -22,13 +22,12 @@ class TestRollingWindow:
         window.update(3.0)
         assert window.mean == 2.0
         assert window.count == 2
-        assert not window.full
 
     def test_old_values_evicted(self):
         window = RollingWindow(2)
         for value in (10.0, 1.0, 3.0):
             window.update(value)
-        assert window.full
+        assert window.count == 2
         assert window.mean == 2.0
 
     def test_empty_window_mean_zero(self):

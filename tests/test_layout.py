@@ -1,11 +1,12 @@
 """Layout engine tests: line formation, types, positions, attributes."""
 
-from repro.render.layout import BODY_MARGIN, LIST_INDENT, render_html
+from repro.render.layout import BODY_MARGIN, LIST_INDENT
 from repro.render.linetypes import LineType
+from tests.helpers import render
 
 
 def lines(markup):
-    return render_html(f"<html><body>{markup}</body></html>").lines
+    return render(f"<html><body>{markup}</body></html>").lines
 
 
 class TestLineFormation:
@@ -158,27 +159,22 @@ class TestAttributes:
 
 class TestDomLinks:
     def test_leaves_recorded(self):
-        page = render_html("<html><body><p><a href='/x'>t</a> rest</p></body></html>")
+        page = render("<html><body><p><a href='/x'>t</a> rest</p></body></html>")
         line = page.lines[0]
         assert len(line.leaves) == 2
 
-    def test_line_of_node(self):
-        page = render_html("<html><body><p>a</p><p>b</p></body></html>")
-        second_p = page.document.body.find_all("p")[1]
-        assert page.line_of_node(second_p) == 1
-
     def test_line_range_of_element(self):
-        page = render_html(
+        page = render(
             "<html><body><ul><li>a</li><li>b</li></ul><p>c</p></body></html>"
         )
         ul = page.document.body.find("ul")
         assert page.line_range_of_element(ul) == (0, 1)
 
     def test_line_range_of_empty_element(self):
-        page = render_html("<html><body><div></div><p>x</p></body></html>")
+        page = render("<html><body><div></div><p>x</p></body></html>")
         empty = page.document.body.find("div")
         assert page.line_range_of_element(empty) is None
 
     def test_tag_path_of_line(self):
-        page = render_html("<html><body><ul><li><a href='/'>x</a></li></ul></body></html>")
+        page = render("<html><body><ul><li><a href='/'>x</a></li></ul></body></html>")
         assert page.lines[0].tag_path.c_tags == ("html", "body", "ul", "li", "a")

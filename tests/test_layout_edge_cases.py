@@ -1,11 +1,12 @@
 """Layout engine edge cases and robustness."""
 
-from repro.render.layout import BODY_MARGIN, render_html
+from repro.render.layout import BODY_MARGIN
+from tests.helpers import render
 from repro.render.linetypes import LineType
 
 
 def lines(markup):
-    return render_html(f"<html><body>{markup}</body></html>").lines
+    return render(f"<html><body>{markup}</body></html>").lines
 
 
 class TestEmptyAndDegenerate:

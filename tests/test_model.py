@@ -88,4 +88,3 @@ class TestExtractedTypes:
         extraction = PageExtraction(sections=sections)
         assert len(extraction) == 2
         assert extraction.record_count == 3
-        assert [r.text for r in extraction.all_records()] == ["a", "b", "c"]

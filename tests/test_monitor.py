@@ -7,6 +7,7 @@ import pytest
 from repro.cli import main
 from repro.core.mse import build_wrapper
 from repro.monitor import MonitorConfig, WrapperMonitor
+from repro.monitor.service import RETRY_EVERY
 from repro.obs import Observer, read_health_events
 from repro.testbed import (
     MUTATIONS,
@@ -181,7 +182,7 @@ class TestSelfHealing:
         assert heals[-1]["recovered"] is True
         assert monitor.state == "healthy"
         retry_gap = heals[1]["page"] - heals[0]["page"]
-        assert retry_gap >= monitor.config.retry_every
+        assert retry_gap >= RETRY_EVERY
 
     def test_no_heal_without_flag(self):
         monitor, _ = run_monitor(TEXTBOOK_ENGINE, "style_swap", heal=False)

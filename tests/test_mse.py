@@ -93,12 +93,6 @@ class TestExtraction:
         extraction = engine.extract("<html><body><p>maintenance</p></body></html>")
         assert len(extraction) == 0
 
-    def test_all_records_flattened(self):
-        engine = induce([("Web", 3)])
-        html = simple_result_page("durian", [("Web", make_records("Web", 3, "durian"))])
-        extraction = engine.extract(html, "durian")
-        assert len(extraction.all_records()) == extraction.record_count
-
 
 class TestConfigSwitches:
     PAGES = sample_pages(("apple", "banana", "cherry"), [("Web", 5)])

@@ -104,18 +104,6 @@ class TestMetricsRegistry:
         assert snap["timings"]["t"]["min"] == pytest.approx(0.1)
         assert snap["timings"]["t"]["max"] == pytest.approx(0.3)
 
-    def test_merge(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        a.count("x", 1)
-        b.count("x", 2)
-        b.gauge("g", 9)
-        b.observe("t", 0.5)
-        a.merge(b)
-        assert a.counters["x"] == 3
-        assert a.gauges["g"] == 9
-        assert a.timings["t"].count == 1
-
 
 class TestDisabledMode:
     def test_null_observer_is_noop(self):

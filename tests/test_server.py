@@ -1,6 +1,7 @@
 """Warm persistent Server pool tests (lifecycle, parity, crash recovery)."""
 
 import json
+import multiprocessing
 import os
 import signal
 import time
@@ -450,6 +451,16 @@ class TestErrors:
         # in flight when the error came back: a chunk per worker plus
         # one queued (the failed chunk, boom page first, among them)
         assert ran <= (2 + 1) * size
+
+
+    def test_bad_priming_page_is_rejected_up_front(self, engine):
+        """A priming page that is not a (str, str) pair raises TypeError
+        from the constructor; no worker is forked to fail on it."""
+        before = multiprocessing.active_children()
+        for page in [(None, "q"), ("<p>x</p>",), "<p>x</p>", ("<p>x</p>", 3)]:
+            with pytest.raises(TypeError, match="priming page"):
+                Server([engine], jobs=2, prime_pages=[page])
+        assert multiprocessing.active_children() == before
 
 
 class TestNestingDepth:

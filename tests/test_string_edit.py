@@ -35,15 +35,16 @@ class TestCustomCosts:
 
         assert edit_distance("ab", "ax", substitution_cost=cost) == 0.5
 
-    def test_insertion_deletion_costs(self):
-        assert edit_distance("a", "abc", insertion_cost=2.0) == 4.0
-        assert edit_distance("abc", "a", deletion_cost=0.5) == 1.0
-
     def test_asymmetric_costs_respect_direction(self):
-        # deleting from seq1 vs inserting into seq1 must not be confused
+        # replacing an item of seq1 with one of seq2 must not be confused
         # by the internal swap that keeps the shorter sequence inner.
-        d1 = edit_distance("aaaa", "a", deletion_cost=0.1, insertion_cost=10)
-        assert abs(d1 - 0.3) < 1e-9
+        def cost(a, b):
+            if a == b:
+                return 0.0
+            return 0.1 if (a, b) == ("a", "b") else 5.0
+
+        assert abs(edit_distance("a", "bbb", substitution_cost=cost) - 2.1) < 1e-9
+        assert edit_distance("bbb", "a", substitution_cost=cost) == 4.0
 
     def test_fractional_substitution_beats_indel_pair(self):
         def cost(a, b):

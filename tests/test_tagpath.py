@@ -24,7 +24,7 @@ class TestConstruction:
         td = document.body.find("td")
         path = TagPath.to_node(td)
         assert path.c_tags == ("html", "body", "table", "tr", "td")
-        assert path.s_counts == (0, 0, 0, 0, 0)
+        assert [step.s_count for step in path.steps] == [0, 0, 0, 0, 0]
 
     def test_s_counts_count_element_siblings_only(self):
         document = doc()
@@ -118,12 +118,6 @@ class TestResolve:
         document = doc()
         path = TagPath([PathStep("html", 0), PathStep("span", 0)])
         assert path.resolve(document.root) is None
-
-    def test_slice(self):
-        document = doc()
-        path = TagPath.to_node(document.body.find("td"))
-        assert path.slice(0, 2).c_tags == ("html", "body")
-        assert path.slice(2).c_tags == ("table", "tr", "td")
 
 
 class TestMergedTagPath:

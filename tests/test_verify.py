@@ -5,7 +5,6 @@ import pytest
 from repro.core.mse import build_wrapper
 from repro.core.verify import (
     check_wrapper,
-    check_wrapper_on_pages,
     SectionHealth,
 )
 from tests.helpers import make_records, sample_pages, simple_result_page
@@ -99,8 +98,5 @@ class TestBulk:
             )
             for q in ("kiwi", "mango")
         ]
-        score = check_wrapper_on_pages(engine, pages)
-        assert score >= 0.9
-
-    def test_empty_page_list(self, engine):
-        assert check_wrapper_on_pages(engine, []) == 0.0
+        scores = [check_wrapper(engine, markup, query).score for markup, query in pages]
+        assert sum(scores) / len(scores) >= 0.9
