@@ -56,8 +56,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.annotate import annotate_record
 from repro.core.mse import build_wrapper
-from repro.core.serialize import load_wrapper, save_wrapper
+from repro.core.serialize import WrapperFormatError, load_wrapper, save_wrapper
 from repro.core.verify import check_wrapper
+from repro.core.wrapper import EngineWrapper
 from repro.htmlmod import NestingDepthError
 from repro.obs import NULL_OBSERVER, Observer, render_report
 
@@ -81,8 +82,9 @@ def _split_page_arg(arg: str) -> Tuple[str, str]:
     return arg, ""
 
 
-class _PageReadError(Exception):
-    """A page file could not be read (missing, unreadable, not text)."""
+class _InputError(Exception):
+    """A page or wrapper file could not be read (missing, unreadable,
+    not text, or not a wrapper document)."""
 
 
 def _read(path: str) -> str:
@@ -90,7 +92,14 @@ def _read(path: str) -> str:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise _PageReadError(f"cannot read page file {path!r}: {exc}") from exc
+        raise _InputError(f"cannot read page file {path!r}: {exc}") from exc
+
+
+def _load_wrapper(path: str) -> EngineWrapper:
+    try:
+        return load_wrapper(path)
+    except (OSError, UnicodeDecodeError, WrapperFormatError) as exc:
+        raise _InputError(f"cannot read wrapper file {path!r}: {exc}") from exc
 
 
 def _observer_for(args):
@@ -151,7 +160,7 @@ def _section_payload(section) -> dict:
 
 
 def cmd_extract(args) -> int:
-    wrapper = load_wrapper(args.wrapper)
+    wrapper = _load_wrapper(args.wrapper)
     obs = _observer_for(args)
     # Read every page up front so a bad path fails before any output.
     pages: List[Tuple[str, str, str]] = []
@@ -224,7 +233,7 @@ def cmd_serve(args) -> int:
         print("serve: need at least one page (positional or --pages)",
               file=sys.stderr)
         return 2
-    engines = [load_wrapper(path) for path in args.wrapper]
+    engines = [_load_wrapper(path) for path in args.wrapper]
     pages: List[Tuple[str, str]] = []
     paths: List[str] = []
     for arg in page_args:
@@ -319,7 +328,7 @@ def cmd_serve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    wrapper = load_wrapper(args.wrapper)
+    wrapper = _load_wrapper(args.wrapper)
     obs = _observer_for(args)
     health = check_wrapper(wrapper, _read(args.page), args.query, obs=obs)
     print(f"health score: {health.score:.2f} "
@@ -376,7 +385,7 @@ def cmd_monitor(args) -> int:
         )
         truth = evolving.truth
         if args.wrapper:
-            wrapper = load_wrapper(args.wrapper)
+            wrapper = _load_wrapper(args.wrapper)
         else:
             wrapper = build_wrapper(evolving.sample_set)
         stream = evolving.stream(SAMPLE_PAGES)
@@ -392,7 +401,7 @@ def cmd_monitor(args) -> int:
         if len(args.pages) < 1:
             print("monitor: need at least one page to monitor", file=sys.stderr)
             return 2
-        wrapper = load_wrapper(args.wrapper)
+        wrapper = _load_wrapper(args.wrapper)
         stream = []
         for arg in args.pages:
             path, query = _split_page_arg(arg)
@@ -447,12 +456,8 @@ def cmd_monitor(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from repro.evalkit.harness import (
-        EvaluationRun,
-        breakdown,
-        run_evaluation,
-        write_engine_csv,
-    )
+    from repro.evalkit.harness import breakdown, run_evaluation, write_engine_csv
+    from repro.evalkit.metrics import EvalRows
     from repro.evalkit.report import render_record_table, render_section_table
     from repro.testbed.corpus import SINGLE_SECTION_ENGINES
 
@@ -462,23 +467,17 @@ def cmd_eval(args) -> int:
     run_all = run_evaluation(
         "all", args.limit, progress=args.progress, obs=obs, jobs=args.jobs
     )
-    if "2" in want and args.limit is None:
-        run_multi = run_evaluation(
-            "multi", None, progress=args.progress, obs=obs, jobs=args.jobs
-        )
-    else:
-        # With a limit, derive the multi-section subset from the same run.
-        run_multi = EvaluationRun()
-        for result in run_all.engines:
-            if result.engine_id >= SINGLE_SECTION_ENGINES:
-                run_multi.engines.append(result)
-                run_multi.rows.merge(result.rows)
+    # Table 2 is the multi-section engines' share of the same run.
+    multi_rows = EvalRows()
+    for result in run_all.engines:
+        if result.engine_id >= SINGLE_SECTION_ENGINES:
+            multi_rows.merge(result.rows)
 
     if "1" in want:
         print(render_section_table(run_all.rows, "Table 1. Section extraction results on all engines"))
         print()
     if "2" in want:
-        print(render_section_table(run_multi.rows, "Table 2. Section extraction results on multi-section engines"))
+        print(render_section_table(multi_rows, "Table 2. Section extraction results on multi-section engines"))
         print()
     if "3" in want:
         print(render_record_table(run_all.rows, "Table 3. Record extraction results on correctly extracted sections"))
@@ -718,7 +717,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (_PageReadError, NestingDepthError) as exc:
+    except (_InputError, NestingDepthError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -180,15 +180,25 @@ def _family_from_obj(obj: Dict[str, Any]) -> SectionFamily:
 def engine_from_obj(
     payload: Dict[str, Any], config: Optional[FeatureConfig] = None
 ) -> EngineWrapper:
-    """Decode an engine wrapper from an :func:`engine_to_obj` payload."""
+    """Decode an engine wrapper from an :func:`engine_to_obj` payload.
+
+    Any other document, including one with a missing key or a container
+    of the wrong type, raises :class:`WrapperFormatError` with the
+    decoding error as its cause.
+    """
     if not isinstance(payload, dict) or payload.get("format") != "repro-mse-wrapper":
         raise WrapperFormatError("not a repro MSE wrapper document")
     if payload.get("version") != FORMAT_VERSION:
         raise WrapperFormatError(
             f"unsupported wrapper format version {payload.get('version')!r}"
         )
-    wrappers = [_wrapper_from_obj(o) for o in payload["wrappers"]]
-    families = [_family_from_obj(o) for o in payload["families"]]
+    try:
+        wrappers = [_wrapper_from_obj(o) for o in payload["wrappers"]]
+        families = [_family_from_obj(o) for o in payload["families"]]
+    except KeyError as exc:
+        raise WrapperFormatError(f"missing key {exc}") from exc
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise WrapperFormatError(f"malformed wrapper document: {exc}") from exc
     if config is not None:
         return EngineWrapper(wrappers, families, config)
     return EngineWrapper(wrappers, families)

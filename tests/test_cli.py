@@ -267,6 +267,21 @@ class TestDemoAndEval:
         assert code == 0
         assert "Table 1" in capsys.readouterr().out
 
+    def test_eval_all_tables_evaluate_the_corpus_once(self, monkeypatch, capsys):
+        from repro.evalkit import harness
+
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
+            return harness.EvaluationRun()
+
+        monkeypatch.setattr(harness, "run_evaluation", recording)
+        assert main(["eval", "--table", "all"]) == 0
+        out = capsys.readouterr().out
+        assert "Table 1" in out and "Table 2" in out and "Table 3" in out
+        assert len(calls) == 1
+
 
 class TestMissingPageFiles:
     """A missing/unreadable page file exits 2 with one stderr line."""
@@ -306,6 +321,39 @@ class TestMissingPageFiles:
             ["induce", "-o", str(out), workspace["samples"][0], f"{bad}:q"]
         )
         self._assert_clean_failure(code, capsys.readouterr())
+
+
+class TestBadWrapperFiles:
+    """A missing or malformed wrapper file exits 2 with one stderr line."""
+
+    CONTENTS = {
+        "no-wrappers": json.dumps({"format": "repro-mse-wrapper", "version": 1}),
+        "empty-object": "{}",
+        "not-json": "this is not json {",
+    }
+
+    def _argv(self, command, wrapper, page):
+        if command == "monitor":
+            return ["monitor", "-w", wrapper, f"{page}:q"]
+        return [command, "-w", wrapper, page]
+
+    @pytest.mark.parametrize("content", [None, *CONTENTS])
+    @pytest.mark.parametrize("command", ["extract", "check", "serve", "monitor"])
+    def test_bad_wrapper_exits_2(
+        self, workspace, tmp_path, capsys, command, content
+    ):
+        wrapper = tmp_path / "wrapper.json"
+        if content is not None:
+            wrapper.write_text(self.CONTENTS[content], encoding="utf-8")
+        code = main(self._argv(command, str(wrapper), workspace["new_page"]))
+        captured = capsys.readouterr()
+        assert code == 2
+        lines = [line for line in captured.err.splitlines() if line]
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            f"{command}: cannot read wrapper file {str(wrapper)!r}: "
+        )
+        assert "Traceback" not in captured.err
 
 
 class TestDeepNesting:

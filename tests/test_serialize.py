@@ -1,5 +1,6 @@
 """Wrapper serialization tests."""
 
+import copy
 import json
 
 import pytest
@@ -12,6 +13,7 @@ from repro.core.serialize import (
     wrapper_from_json,
     wrapper_to_json,
 )
+from repro.testbed import load_engine_pages
 from tests.helpers import make_records, sample_pages, simple_result_page
 
 
@@ -170,3 +172,70 @@ class TestErrors:
             payload["families"][0]["type"] = 7
             with pytest.raises(WrapperFormatError):
                 wrapper_from_json(json.dumps(payload))
+
+
+def _paths(node, path=()):
+    """The path of every value in a JSON document, at every depth."""
+    items = (
+        node.items() if isinstance(node, dict)
+        else enumerate(node) if isinstance(node, list)
+        else ()
+    )
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+def _decodes_or_format_error(payload):
+    try:
+        wrapper_from_json(json.dumps(payload))
+    except WrapperFormatError:
+        pass
+
+
+class TestMalformedDocuments:
+    """Decoding a damaged real wrapper either succeeds or raises
+    WrapperFormatError; no KeyError, TypeError or AttributeError escapes."""
+
+    @pytest.fixture(scope="class")
+    def payload(self):
+        # Engine 81's wrapper has two section wrappers and a type-2
+        # family, so every key of the format occurs in it.
+        samples = load_engine_pages(81).sample_set
+        return json.loads(wrapper_to_json(build_wrapper(samples)))
+
+    def _edited(self, payload, path, value=None):
+        doc = copy.deepcopy(payload)
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        if value is None:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        return doc
+
+    def test_every_missing_key(self, payload):
+        paths = [path for path in _paths(payload) if isinstance(path[-1], str)]
+        assert len(paths) > 50
+        for path in paths:
+            _decodes_or_format_error(self._edited(payload, path))
+
+    def test_every_container_of_the_wrong_type(self, payload):
+        swaps = 0
+        for path in _paths(payload):
+            value = payload
+            for step in path:
+                value = value[step]
+            if not isinstance(value, (dict, list)):
+                continue
+            for wrong in ({} if isinstance(value, list) else [], 0, "x"):
+                swaps += 1
+                _decodes_or_format_error(self._edited(payload, path, wrong))
+        assert swaps > 50
+
+    def test_missing_key_chains_the_cause(self, payload):
+        doc = self._edited(payload, ("wrappers", 0, "pref", "tags"))
+        with pytest.raises(WrapperFormatError) as info:
+            wrapper_from_json(json.dumps(doc))
+        assert isinstance(info.value.__cause__, KeyError)
