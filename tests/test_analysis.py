@@ -8,15 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    Finding,
-    analyze_paths,
-    apply_baseline,
-    default_rules,
-    load_baseline,
-    module_name_of,
-    save_baseline,
-)
+from repro.analysis.baseline import apply_baseline, load_baseline, save_baseline
+from repro.analysis.engine import analyze_paths, module_name_of
+from repro.analysis.findings import Finding
+from repro.analysis.rules import default_rules
 from repro.analysis.__main__ import main as analysis_main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]

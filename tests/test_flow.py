@@ -14,10 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import analyze_paths
 from repro.analysis.__main__ import main as analysis_main
 from repro.analysis.engine import (
     ProjectContext,
+    analyze_paths,
     discover_files,
     display_root,
     parse_file,
