@@ -97,9 +97,7 @@ def test_figures_6_to_8_refinement(benchmark):
 
 def test_figure_9_instance_graph(benchmark):
     """Fig. 9: cliques of matching instances across sample pages."""
-    mse = MSE()
-    prepared = mse._prepare(_samples())
-    sections_per_page = mse.analyze_pages(prepared)
+    sections_per_page = MSE().analyze_pages(_samples())
     groups = benchmark(group_section_instances, sections_per_page)
     assert groups
     for group in groups:

@@ -128,9 +128,7 @@ def main() -> None:
     print("Figure 9 — the section-instance match graph (stable marriage +")
     print("Bron-Kerbosch cliques over sample pages)")
     print("=" * 72)
-    mse = MSE()
-    prepared = mse._prepare(samples)
-    sections_per_page = mse.analyze_pages(prepared)
+    sections_per_page = MSE().analyze_pages(samples)
     for i, sections in enumerate(sections_per_page):
         print(f"  page {i}: " + ", ".join(
             f"[{s.start}..{s.end}]" for s in sections))

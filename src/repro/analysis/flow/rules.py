@@ -18,7 +18,7 @@ per-file findings.
   collections unless a memo sits on the path.
 - **SER01 codec drift** — every dataclass field must be read by the
   ``*_to_obj`` codec that encodes it (page references excepted), so a
-  new field fails lint instead of checkpoint-resume.
+  new field fails lint instead of silently missing from saved wrappers.
 """
 
 from __future__ import annotations

@@ -120,8 +120,4 @@ IDENTITY_KEY_FUNCTIONS: Dict[str, str] = {
         "page-local leaf-line identity lookups build a key whose "
         "encoded values are line offsets, not ids; never serialized"
     ),
-    "repro.pipeline.stages.GroupingStage.encode": (
-        "identity lookup encodes each section as its deterministic "
-        "(page, section) index pair; ids never reach the payload"
-    ),
 }

@@ -1,7 +1,6 @@
 """Command-line interface.
 
     python -m repro induce  -o wrapper.json page1.html:query1 page2.html:query2 ...
-                    [--checkpoint-dir DIR] [--resume]
     python -m repro extract -w wrapper.json page1.html[:q1] [page2.html[:q2] ...]
                     [--query "..."] [--json]
     python -m repro serve   -w wrapper.json [-w more.json ...] --pages page1.html[:q1] ...
@@ -33,12 +32,6 @@ sample pages and detection latency is reported against ground truth.
 ``eval`` regenerates the paper's tables on the synthetic corpus;
 ``demo`` runs a full induce-and-extract round trip against one
 synthetic engine.
-
-``induce`` runs in one process; ``--checkpoint-dir DIR`` persists every
-stage's artifacts as JSON, and ``--resume`` reuses them on a later run,
-recomputing only missing stages and their dependents (see
-``repro.pipeline``).  Fresh and resumed runs produce byte-identical
-wrapper JSON.
 
 ``induce``, ``extract``, ``check`` and ``eval`` accept ``--trace FILE``
 (write a JSONL pipeline trace: one span per stage with wall time and
@@ -127,16 +120,8 @@ def cmd_induce(args) -> int:
     if len(samples) < 2:
         print("induce: need at least two sample pages", file=sys.stderr)
         return 2
-    if args.resume and not args.checkpoint_dir:
-        print("induce: --resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
     obs = _observer_for(args)
-    wrapper = build_wrapper(
-        samples,
-        obs=obs,
-        checkpoint_dir=args.checkpoint_dir,
-        resume=args.resume,
-    )
+    wrapper = build_wrapper(samples, obs=obs)
     save_wrapper(wrapper, args.output)
     print(
         f"wrote {args.output}: {len(wrapper.wrappers)} section schema(s), "
@@ -362,7 +347,6 @@ def cmd_monitor(args) -> int:
         ph_delta=args.ph_delta,
         ph_lambda=args.ph_lambda,
         heal=args.heal,
-        checkpoint_dir=args.checkpoint_dir,
     )
 
     truth = None
@@ -551,15 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_induce = sub.add_parser("induce", help="build a wrapper from sample pages")
     p_induce.add_argument("pages", nargs="+", help="page.html[:query terms]")
     p_induce.add_argument("-o", "--output", required=True, help="wrapper JSON path")
-    p_induce.add_argument(
-        "--checkpoint-dir", metavar="DIR", default=None,
-        help="persist per-stage artifacts to DIR (JSON checkpoints)",
-    )
-    p_induce.add_argument(
-        "--resume", action="store_true",
-        help="reuse artifacts in --checkpoint-dir; recompute only missing "
-        "stages (and their dependents, e.g. after adding sample pages)",
-    )
     _add_obs_flags(p_induce)
     p_induce.set_defaults(func=cmd_induce)
 
@@ -662,10 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_monitor.add_argument(
         "--json", metavar="FILE", default=None,
         help="write the end-of-run summary JSON to FILE",
-    )
-    p_monitor.add_argument(
-        "--checkpoint-dir", metavar="DIR", default=None,
-        help="checkpoint directory for resumable re-induction",
     )
     p_monitor.add_argument(
         "--testbed", type=int, metavar="ID", default=None,

@@ -1,9 +1,8 @@
 """Configuration of the MSE pipeline.
 
-Lives in its own module (rather than ``repro.core.mse``) so the staged
-pipeline package :mod:`repro.pipeline` can import it without creating an
-import cycle: ``mse`` builds on the pipeline runner, and the pipeline's
-stages and checkpoint keys are parameterized by this config.
+Lives in its own module (rather than ``repro.core.mse``) so
+:mod:`repro.pipeline` can import it without creating an import cycle:
+``mse`` calls the pipeline's steps, and the steps read this config.
 """
 
 from __future__ import annotations
@@ -19,9 +18,7 @@ class MSEConfig:
     """Configuration of the MSE pipeline.
 
     The boolean switches exist for the ablation benches; the paper's full
-    system corresponds to the defaults.  The config is frozen and
-    JSON-canonicalizable: the pipeline's :class:`repro.pipeline.ArtifactStore`
-    derives its checkpoint invalidation key from it.
+    system corresponds to the defaults.
     """
 
     features: FeatureConfig = DEFAULT_CONFIG

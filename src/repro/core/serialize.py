@@ -1,4 +1,4 @@
-"""Wrapper and stage-artifact persistence: pipeline objects <-> JSON.
+"""Wrapper persistence: engine wrappers <-> JSON.
 
 Wrappers are induced offline from sample pages and applied online for
 months (the paper's metasearch scenario); they must survive a process
@@ -9,15 +9,6 @@ restart.  This module gives every wrapper component a stable JSON form:
 
 The format is versioned; loading rejects unknown versions rather than
 guessing.
-
-Besides the final wrapper, the intermediate *stage artifacts* of the
-induction pipeline (:class:`~repro.core.mre.TentativeMR`,
-:class:`~repro.core.dse.DynamicSection`,
-:class:`~repro.core.model.SectionInstance`) also have codecs here, used
-by :mod:`repro.pipeline` for checkpoint/resume.  Those objects are line-span views
-over a live :class:`~repro.render.lines.RenderedPage`, so their JSON
-form stores spans only; decoding requires the (deterministically
-re-rendered) page the spans refer to.
 """
 
 from __future__ import annotations
@@ -25,15 +16,9 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional
 
-from repro.core.dse import DynamicSection
 from repro.core.family import SectionFamily, Type1Family, Type2Family
-from repro.core.model import SectionInstance
-from repro.core.mre import TentativeMR
 from repro.core.wrapper import EngineWrapper, SectionWrapper, SeparatorRule
-from repro.features.blocks import Block
 from repro.features.config import FeatureConfig
-from repro.render.lines import RenderedPage
-
 from repro.render.styles import TextAttr
 from repro.tagpath.paths import MergedTagPath
 
@@ -223,79 +208,3 @@ def load_wrapper(path: str) -> EngineWrapper:
     """Read a wrapper from a JSON file."""
     with open(path, "r", encoding="utf-8") as handle:
         return wrapper_from_json(handle.read())
-
-
-# -- stage artifacts (repro.pipeline checkpoints) ---------------------------
-#
-# TentativeMR / DynamicSection / SectionInstance hold references into a
-# RenderedPage, so only their line spans are persisted.  Decoding takes
-# the page the spans refer to; rendering is deterministic, so encoding a
-# page's artifacts, re-rendering the page from its HTML and decoding
-# yields equal artifacts (the invariant checkpoint/resume relies on).
-
-
-def mr_to_obj(mr: TentativeMR) -> Dict[str, Any]:
-    """Encode a tentative MR as its record line spans."""
-    return {"records": [[r.start, r.end] for r in mr.records]}
-
-
-def mr_from_obj(obj: Dict[str, Any], page: RenderedPage) -> TentativeMR:
-    """Decode a tentative MR against its (re-rendered) page."""
-    return TentativeMR(
-        page=page,
-        records=[Block(page, int(s), int(e)) for s, e in obj["records"]],
-    )
-
-
-def ds_to_obj(ds: DynamicSection) -> Dict[str, Any]:
-    """Encode a dynamic section as its span and boundary-marker lines."""
-    return {"start": ds.start, "end": ds.end, "lbm": ds.lbm, "rbm": ds.rbm}
-
-
-def ds_from_obj(obj: Dict[str, Any], page: RenderedPage) -> DynamicSection:
-    """Decode a dynamic section against its (re-rendered) page."""
-    return DynamicSection(
-        page,
-        int(obj["start"]),
-        int(obj["end"]),
-        lbm=None if obj.get("lbm") is None else int(obj["lbm"]),
-        rbm=None if obj.get("rbm") is None else int(obj["rbm"]),
-    )
-
-
-def section_instance_to_obj(instance: SectionInstance) -> Dict[str, Any]:
-    """Encode a pipeline section instance (block, records, markers)."""
-    return {
-        "block": [instance.block.start, instance.block.end],
-        "records": [[r.start, r.end] for r in instance.records],
-        "lbm": instance.lbm,
-        "rbm": instance.rbm,
-        "origin": instance.origin,
-        "score": instance.score,
-    }
-
-
-def section_instance_from_obj(
-    obj: Dict[str, Any], page: RenderedPage
-) -> SectionInstance:
-    """Decode a section instance against its (re-rendered) page."""
-    start, end = obj["block"]
-    return SectionInstance(
-        page=page,
-        block=Block(page, int(start), int(end)),
-        records=[Block(page, int(s), int(e)) for s, e in obj["records"]],
-        lbm=None if obj.get("lbm") is None else int(obj["lbm"]),
-        rbm=None if obj.get("rbm") is None else int(obj["rbm"]),
-        origin=str(obj.get("origin", "")),
-        score=float(obj.get("score", 0.0)),
-    )
-
-
-def section_wrapper_to_obj(wrapper: SectionWrapper) -> Dict[str, Any]:
-    """Encode one section wrapper (public alias used by checkpoints)."""
-    return _wrapper_to_obj(wrapper)
-
-
-def section_wrapper_from_obj(obj: Dict[str, Any]) -> SectionWrapper:
-    """Decode one section wrapper (public alias used by checkpoints)."""
-    return _wrapper_from_obj(obj)

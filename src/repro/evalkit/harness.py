@@ -80,9 +80,8 @@ def evaluate_engine(
 ) -> EngineResult:
     """Build a wrapper from the sample pages and grade all ten pages.
 
-    Induction goes through the staged :class:`repro.pipeline.PipelineRunner`
-    (via :class:`MSE`) in this process; the engine-level ``jobs`` of
-    :func:`run_evaluation` is what parallelizes a corpus run.
+    Induction runs in this process (:class:`MSE`); the engine-level
+    ``jobs`` of :func:`run_evaluation` is what parallelizes a corpus run.
 
     ``obs`` is an optional :class:`repro.obs.Observer`; spans aggregate
     across engines, so one observer threaded through a whole run yields

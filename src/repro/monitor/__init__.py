@@ -6,9 +6,9 @@ metasearch maintenance loop); this package closes that loop.  A
 :func:`repro.core.verify.check_wrapper`, aggregates the per-check
 metrics into sliding windows with a Page–Hinkley change detector
 (:mod:`repro.obs.health`), and — when drift is confirmed and healing is
-enabled — re-induces the wrapper from recently served pages through the
-checkpoint/resume pipeline and hot-swaps it in place, recording every
-step as a structured health event.
+enabled — re-induces the wrapper from recently served pages and
+hot-swaps it in place, recording every step as a structured health
+event.
 
     from repro.monitor import MonitorConfig, WrapperMonitor
     monitor = WrapperMonitor(wrapper, MonitorConfig(heal=True))

@@ -17,11 +17,9 @@ below the health threshold) transitions to
 monitor immediately attempts recovery: it estimates how many recently
 buffered pages are post-change (the detector's ``pages_since_change``),
 re-induces a wrapper from those pages via :func:`repro.core.mse
-.build_wrapper` — pointed at a persistent checkpoint directory, the
-staged pipeline reuses every artifact of pages it has already seen and
-re-executes only changed stages — and health-checks the candidate on
-the current page.  A candidate scoring at or above the threshold is
-hot-swapped in (back to ``healthy``, detector state reset); otherwise
+.build_wrapper` and health-checks the candidate on the current page.
+A candidate scoring at or above the threshold is hot-swapped in (back
+to ``healthy``, detector state reset); otherwise
 the old wrapper stays and the monitor retries every
 :data:`RETRY_EVERY` pages with fresher samples.
 
@@ -83,8 +81,6 @@ class MonitorConfig:
     ph_lambda: float = 1.0
     #: attempt self-healing re-induction once drift is confirmed
     heal: bool = False
-    #: checkpoint directory for resumable re-induction (None = in-memory)
-    checkpoint_dir: Optional[str] = None
 
 
 @dataclass
@@ -301,12 +297,7 @@ class WrapperMonitor:
             return False
 
         with self.obs.span("reinduce"):
-            candidate = build_wrapper(
-                list(samples),
-                obs=self.obs,
-                checkpoint_dir=cfg.checkpoint_dir,
-                resume=cfg.checkpoint_dir is not None,
-            )
+            candidate = build_wrapper(list(samples), obs=self.obs)
         run.reinductions += 1
         self.obs.count("monitor.reinductions")
         self.log.append(
@@ -314,7 +305,6 @@ class WrapperMonitor:
             page=run.page,
             samples=len(samples),
             schemas=len(candidate.wrappers),
-            resumed=cfg.checkpoint_dir is not None,
         )
 
         # The candidate is compiled up front: its health check runs on

@@ -432,37 +432,6 @@ class TestMarkedSections:
         assert "Traceback" not in captured.err
 
 
-class TestInducePipelineFlags:
-    def test_jobs_and_checkpoint_resume_are_byte_identical(
-        self, workspace, tmp_path, capsys
-    ):
-        serial = tmp_path / "serial.json"
-        assert main(["induce", "-o", str(serial), *workspace["samples"]]) == 0
-
-        ck = tmp_path / "ckpt"
-        first = tmp_path / "ck.json"
-        assert main(
-            ["induce", "--checkpoint-dir", str(ck), "-o", str(first),
-             *workspace["samples"]]
-        ) == 0
-        (ck / "stage-wrapper.json").unlink()
-        resumed = tmp_path / "resumed.json"
-        assert main(
-            ["induce", "--checkpoint-dir", str(ck), "--resume",
-             "-o", str(resumed), *workspace["samples"]]
-        ) == 0
-
-        reference = serial.read_text()
-        assert first.read_text() == reference
-        assert resumed.read_text() == reference
-
-    def test_resume_requires_checkpoint_dir(self, workspace, tmp_path, capsys):
-        out = tmp_path / "w.json"
-        code = main(["induce", "--resume", "-o", str(out), *workspace["samples"]])
-        assert code == 2
-        assert "--checkpoint-dir" in capsys.readouterr().err
-
-
 class TestSplitPageArg:
     def test_plain_path(self):
         assert _split_page_arg("page.html") == ("page.html", "")

@@ -191,15 +191,6 @@ class TestSelfHealing:
         assert summary.reinductions == 0
         assert monitor.state == "drifted"
 
-    def test_checkpointed_heal_resumes(self, tmp_path):
-        config = MonitorConfig(heal=True, checkpoint_dir=str(tmp_path / "ck"))
-        monitor, _ = run_monitor(
-            TEXTBOOK_ENGINE, "style_swap", config=config
-        )
-        assert monitor.summary().heals == 1
-        assert monitor.log.of_kind("reinduce")[0]["resumed"] is True
-        assert (tmp_path / "ck").is_dir()
-
     def test_monitor_counts_into_observer(self):
         evolving = load_evolving_pages(TEXTBOOK_ENGINE, "style_swap")
         wrapper = build_wrapper(evolving.sample_set)

@@ -30,6 +30,16 @@ class TestInduction:
         engine = build_wrapper(pages)
         assert engine.wrappers
 
+    def test_from_samples_accepts_strings_and_pairs(self):
+        from repro.obs import NULL_OBSERVER
+        from repro.pipeline import InductionContext
+
+        ctx = InductionContext.from_samples(
+            ["<p>a</p>", ("<p>b</p>", "q")], MSEConfig(), NULL_OBSERVER
+        )
+        assert ctx.samples == [("<p>a</p>", ""), ("<p>b</p>", "q")]
+        assert ctx.queries == ["", "q"]
+
 
 class TestExtraction:
     def test_extraction_on_training_page(self):
@@ -131,7 +141,7 @@ class TestAblationCounts:
 
     def test_no_refinement_sections_are_raw_mrs(self):
         mse = MSE(MSEConfig(use_refinement=False))
-        per_page = mse.analyze_pages(mse._prepare(self.TWO_SECTIONS))
+        per_page = mse.analyze_pages(self.TWO_SECTIONS)
         # Raw MRE merges the adjacent Web and News runs into one 7-record
         # MR on every page; nothing is left pending for the miner.
         assert [
@@ -158,7 +168,7 @@ class TestAblationCounts:
         # Refinement leaves no pending DS on this corpus, so the mining
         # strategy never fires and both configs pin to the same counts.
         mse = MSE(MSEConfig(mining_strategy="per-child"))
-        per_page = mse.analyze_pages(mse._prepare(self.TWO_SECTIONS))
+        per_page = mse.analyze_pages(self.TWO_SECTIONS)
         assert [
             [(s.origin, len(s.records)) for s in page] for page in per_page
         ] == [[("refine", 5), ("refine", 2)]] * 3
@@ -168,10 +178,10 @@ class TestAblationCounts:
         assert sorted(w.typical_records for w in engine.wrappers) == [2, 5]
 
     def test_mine_stage_dispatches_by_strategy(self):
-        # Drive the mine stage directly with a pending single-record DS:
+        # Drive the mine step directly with a pending single-record DS:
         # cohesion keeps it whole, per-child fragments it.
         from repro.core.dse import DynamicSection
-        from repro.pipeline import InductionContext, MineStage
+        from repro.pipeline import InductionContext, mine
         from tests.helpers import render
 
         page = render(
@@ -185,9 +195,10 @@ class TestAblationCounts:
             ctx = InductionContext.from_pages(
                 [page], ["q"], MSEConfig(mining_strategy=strategy)
             )
-            ctx.artifacts["refined"] = [[]]
-            ctx.artifacts["pending"] = [[DynamicSection(page, 0, 2)]]
-            mined = MineStage().run_page(ctx, 0)["mined"]
+            ctx.sections = [[]]
+            ctx.pending = [[DynamicSection(page, 0, 2)]]
+            mine(ctx)
+            mined = ctx.sections[0]
             assert [s.origin for s in mined] == ["mined"]
             counts[strategy] = [len(s.records) for s in mined]
         assert counts == {"cohesion": [1], "per-child": [2]}

@@ -462,3 +462,30 @@ class TestZeroSpanReport:
         report = render_report(Observer(clock=FakeClock()), "fresh")
         assert "(no spans recorded)" in report
         assert "(none)" in render_metrics(Observer(clock=FakeClock()))
+
+
+class TestSpanParents:
+    def test_span_dict_carries_parent(self):
+        obs = Observer()
+        with obs.span("outer"):
+            with obs.span("inner"):
+                pass
+        docs = {d["name"]: d for d in (s.to_dict() for s in obs.spans())}
+        assert docs["outer"]["parent"] == ""
+        assert docs["inner"]["parent"] == "outer"
+
+    def test_merge_stats_grafts_by_parent(self):
+        worker = Observer()
+        with worker.span("mre"):
+            worker.count("mre.sections", 2)
+        stats = worker.stats()
+        # Rewrite the parent to nest the worker's top-level span.
+        for span in stats["spans"]:
+            span["parent"] = "fanout"
+
+        host = Observer()
+        with host.span("fanout"):
+            pass
+        host.merge_stats(stats)
+        paths = {s.path for s in host.spans()}
+        assert "fanout/mre" in paths

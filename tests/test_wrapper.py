@@ -16,9 +16,7 @@ from tests.helpers import make_records, render, sample_pages, simple_result_page
 
 
 def induced_wrappers(plan, queries=("apple", "banana", "cherry")):
-    mse = MSE()
-    prepared = mse._prepare(sample_pages(queries, plan))
-    sections = mse.analyze_pages(prepared)
+    sections = MSE().analyze_pages(sample_pages(queries, plan))
     groups = group_section_instances(sections)
     wrappers = []
     for index, group in enumerate(groups):
